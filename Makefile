@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-shards bench-serve bench-abr bench-city bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
+.PHONY: build test race vet bench bench-shards bench-serve bench-abr bench-city bench-crowd benchguard allocgate soak fault crash cluster abr city diskfault crowd fuzz ci
 
 build:
 	$(GO) build ./...
@@ -25,16 +25,16 @@ vet:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Shard-scaling sweep: fixed concurrent read/write workload against the
-# single-lock baseline and Sharded at K in {1,2,4,8,16}; emits the JSON
-# artifact the README's engine section discusses.
+# Shard-scaling sweep: fixed concurrent read/write workload against
+# Sharded at K in {1,2,4,8,16}, K = 1 (one tree, one lock) being the
+# baseline; emits the JSON artifact the README's engine section discusses.
 bench-shards: build
 	$(GO) run ./cmd/experiments -bench-shards BENCH_shards.json -objects 60
 
 # Steady-state serve path: 5 end-to-end Execute+encode runs per mode at
 # 1/8/64 concurrent clients, fresh-allocation baseline vs the pooled
-# cursor/cache path; emits BENCH_serve.json and prints the delta against
-# the previous artifact (see DESIGN.md "Memory discipline").
+# cursor/cache path; emits BENCH_serve.json (see DESIGN.md "Memory
+# discipline"). `make benchguard` diffs it against HEAD.
 bench-serve: build
 	$(GO) run ./cmd/experiments -bench-serve BENCH_serve.json
 
@@ -85,8 +85,7 @@ abr:
 
 # Utility-vs-bandwidth sweep: ABR viewport plans against the fixed
 # two-state controller under identical per-frame byte allowances; emits
-# BENCH_abr.json (monotone utility curve, ABR >= fixed at every level)
-# and prints the delta against the previous artifact.
+# BENCH_abr.json (monotone utility curve, ABR >= fixed at every level).
 bench-abr: build
 	$(GO) run ./cmd/experiments -bench-abr BENCH_abr.json
 
@@ -106,7 +105,7 @@ city:
 # Budget sweep over the paged store: the same seeded tour served at
 # cache budgets of 1/16, 1/8, and 1/2 of the coefficient payload; emits
 # BENCH_city.json (throughput, fault/hit/eviction counters, bounded
-# residency) and prints the delta against the previous artifact.
+# residency).
 bench-city: build
 	$(GO) run ./cmd/experiments -bench-city BENCH_city.json
 
@@ -143,7 +142,7 @@ crowd:
 # 0.5, and 0.9, coalesced vs independent execution in deterministic
 # lockstep; emits BENCH_crowd.json (index-pass reduction per point,
 # >= 3x gate at 10^3 clients / overlap >= 0.8, no-regression gate at
-# overlap 0) and prints the delta against the previous artifact.
+# overlap 0).
 bench-crowd: build
 	$(GO) run ./cmd/experiments -bench-crowd BENCH_crowd.json
 
@@ -153,6 +152,17 @@ bench-crowd: build
 # to gate on it).
 benchguard:
 	$(GO) run ./scripts -tolerance 0.25
+
+# The zero-allocation gates, each under GOMAXPROCS=1 and GOMAXPROCS=4, so
+# a gate that only holds on some core counts fails here on any host: the
+# index and R-tree SearchInto paths, the retrieval ExecuteScratch path,
+# and the wire frame codec.
+allocgate:
+	for p in 1 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestSearchIntoAllocFree$$' ./internal/index/ ./internal/rtree/ && \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestExecuteScratchAllocBudget$$' ./internal/retrieval/ && \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestFrameCodecAllocBudget$$' ./internal/proto/ || exit 1; \
+	done
 
 # Short coverage-guided exploration of every wire-protocol decoder. Each
 # fuzz target needs its own invocation (go test allows one -fuzz at a
@@ -170,10 +180,10 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
 
-ci: build vet test race fault crash cluster abr city diskfault crowd fuzz
+ci: build vet test allocgate race fault crash cluster abr city diskfault crowd fuzz
 	# Informational benchmark deltas (never fail the gate): regenerate
-	# the BENCH_*.json artifacts, print the change vs the previous
-	# files, then diff every artifact against HEAD with benchguard.
+	# the BENCH_*.json artifacts, then diff every artifact against HEAD
+	# with benchguard.
 	-$(MAKE) bench-serve
 	-$(MAKE) bench-abr
 	-$(MAKE) bench-city

@@ -171,7 +171,6 @@ func RunCityBench(spec CityBenchSpec, jsonPath string, w io.Writer) (*CityBenchR
 	}
 
 	if jsonPath != "" {
-		printCityDelta(jsonPath, res, w)
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return nil, err
@@ -182,28 +181,4 @@ func RunCityBench(spec CityBenchSpec, jsonPath string, w io.Writer) (*CityBenchR
 		fmt.Fprintf(w, "  wrote %s\n", jsonPath)
 	}
 	return res, nil
-}
-
-// printCityDelta compares a fresh result against the previous JSON
-// artifact per budget level. Informational only.
-func printCityDelta(jsonPath string, cur *CityBenchResult, w io.Writer) {
-	buf, err := os.ReadFile(jsonPath)
-	if err != nil {
-		return // first run; nothing to compare
-	}
-	var prev CityBenchResult
-	if json.Unmarshal(buf, &prev) != nil {
-		return
-	}
-	prevAt := make(map[int64]CityBenchPoint, len(prev.Points))
-	for _, p := range prev.Points {
-		prevAt[p.BudgetDivisor] = p
-	}
-	fmt.Fprintf(w, "  delta vs previous %s:\n", jsonPath)
-	for _, p := range cur.Points {
-		if old, ok := prevAt[p.BudgetDivisor]; ok && old.FramesPerSecond > 0 {
-			fmt.Fprintf(w, "    1/%2d budget: throughput %+.1f%%\n",
-				p.BudgetDivisor, (p.FramesPerSecond/old.FramesPerSecond-1)*100)
-		}
-	}
 }

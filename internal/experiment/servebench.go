@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -253,7 +252,6 @@ func RunServeBench(spec ServeBenchSpec, jsonPath string, w io.Writer) (*ServeBen
 	}
 
 	if jsonPath != "" {
-		printServeDelta(jsonPath, res, w)
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return nil, err
@@ -278,45 +276,4 @@ func buildServeServer(d *workload.Dataset, shards int, pooled bool) *retrieval.S
 		srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	}
 	return srv
-}
-
-// printServeDelta compares a fresh result against the previous JSON
-// artifact, point by point. Informational only: noisy machines move
-// ns/op, so nothing here fails a build.
-func printServeDelta(jsonPath string, cur *ServeBenchResult, w io.Writer) {
-	buf, err := os.ReadFile(jsonPath)
-	if err != nil {
-		return // first run; nothing to compare
-	}
-	var prev ServeBenchResult
-	if json.Unmarshal(buf, &prev) != nil {
-		return
-	}
-	prevAt := make(map[string]ServeBenchPoint, len(prev.Points))
-	for _, p := range prev.Points {
-		prevAt[fmt.Sprintf("%s/%d", p.Mode, p.Clients)] = p
-	}
-	fmt.Fprintf(w, "  delta vs previous %s:\n", jsonPath)
-	for _, p := range cur.Points {
-		if old, ok := prevAt[fmt.Sprintf("%s/%d", p.Mode, p.Clients)]; ok && old.NsPerOp > 0 {
-			fmt.Fprintf(w, "    %-8s %3d clients: ns/op %+.1f%% · allocs/op %+.1f%%\n",
-				p.Mode, p.Clients,
-				(p.NsPerOp/old.NsPerOp-1)*100,
-				allocDeltaPct(p.AllocsPerOp, old.AllocsPerOp))
-		}
-	}
-	fmt.Fprintf(w, "    alloc reduction at 8 clients: %.1f%% (was %.1f%%)\n",
-		cur.AllocReduction8*100, prev.AllocReduction8*100)
-}
-
-// allocDeltaPct guards the zero-allocation steady state (0 → 0 is 0%,
-// not NaN).
-func allocDeltaPct(cur, old float64) float64 {
-	if old == 0 {
-		if cur == 0 {
-			return 0
-		}
-		return 100
-	}
-	return (cur/old - 1) * 100
 }

@@ -12,15 +12,14 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/persist"
-	"repro/internal/rtree"
 	"repro/internal/workload"
 )
 
 // ShardBenchSpec configures the shard-scaling benchmark: a fixed
-// read/write workload replayed against the single-lock Concurrent
-// baseline and against Sharded at each shard count, measuring how
-// throughput changes when a mutation drains one grid cell's readers
-// instead of the world's.
+// read/write workload replayed against Sharded at each shard count,
+// measuring how throughput changes when a mutation drains one grid
+// cell's readers instead of the world's. The first shard count (K = 1
+// by default: one tree behind one lock) is the baseline.
 type ShardBenchSpec struct {
 	Seed     int64
 	Objects  int           // dataset size (default 60)
@@ -28,7 +27,7 @@ type ShardBenchSpec struct {
 	Readers  int           // query goroutines (default 4)
 	Writers  int           // churn goroutines (default 2)
 	Duration time.Duration // measurement window per configuration (default 300ms)
-	Shards   []int         // shard counts to sweep (default 1,2,4,8,16)
+	Shards   []int         // shard counts to sweep, baseline first (default 1,2,4,8,16)
 }
 
 func (s ShardBenchSpec) fill() ShardBenchSpec {
@@ -56,7 +55,7 @@ func (s ShardBenchSpec) fill() ShardBenchSpec {
 // ShardBenchPoint is one configuration's measured throughput.
 type ShardBenchPoint struct {
 	Index        string  `json:"index"`
-	Shards       int     `json:"shards"` // 0 for the single-lock baseline
+	Shards       int     `json:"shards"`
 	Reads        int64   `json:"reads"`
 	Writes       int64   `json:"writes"`
 	ReadsPerSec  float64 `json:"reads_per_sec"`
@@ -70,45 +69,12 @@ type ShardBenchResult struct {
 	Readers  int               `json:"readers"`
 	Writers  int               `json:"writers"`
 	Duration string            `json:"duration_per_config"`
-	Baseline ShardBenchPoint   `json:"baseline"`
 	Points   []ShardBenchPoint `json:"sharded"`
-}
-
-// churnIndex is the mutable surface the benchmark drives: Search plus a
-// delete/re-insert write transaction.
-type churnIndex interface {
-	index.Index
-	churn(rng *rand.Rand, n int64)
-}
-
-// lockedChurn drives the single-lock Concurrent baseline: the write
-// transaction holds the global exclusive lock.
-type lockedChurn struct{ *index.Concurrent }
-
-func (l lockedChurn) churn(rng *rand.Rand, n int64) {
-	id := rng.Int63n(n)
-	l.Update(func(idx index.Index) {
-		m := idx.(index.Mutable)
-		if m.Delete(id) {
-			m.Insert(id)
-		}
-	})
-}
-
-// shardedChurn drives Sharded: the write transaction locks only the
-// owning shard.
-type shardedChurn struct{ *index.Sharded }
-
-func (s shardedChurn) churn(rng *rand.Rand, n int64) {
-	id := rng.Int63n(n)
-	if s.Delete(id) {
-		s.Insert(id)
-	}
 }
 
 // measure runs the read/write workload against one index configuration
 // for the spec's window and returns the op counts.
-func measure(spec ShardBenchSpec, idx churnIndex, bounds geom.Rect3, n int64) (reads, writes int64) {
+func measure(spec ShardBenchSpec, idx *index.Sharded, bounds geom.Rect3, n int64) (reads, writes int64) {
 	var readOps, writeOps atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -145,7 +111,10 @@ func measure(spec ShardBenchSpec, idx churnIndex, bounds geom.Rect3, n int64) (r
 					return
 				default:
 				}
-				idx.churn(rng, n)
+				// The write transaction locks only the owning shard.
+				if id := rng.Int63n(n); idx.Delete(id) {
+					idx.Insert(id)
+				}
 				writeOps.Add(1)
 			}
 		}(spec.Seed + 100 + int64(w))
@@ -160,8 +129,8 @@ func measure(spec ShardBenchSpec, idx churnIndex, bounds geom.Rect3, n int64) (r
 // workload and writes the JSON result to jsonPath (skipped if empty)
 // plus a human summary to w. The point of the exercise: under write
 // churn concurrent with readers, per-shard locking should beat the
-// single-lock Concurrent(MotionAware) baseline on write throughput,
-// because a mutation no longer drains every reader in the process.
+// single-lock K = 1 baseline on write throughput, because a mutation no
+// longer drains every reader in the process.
 func RunShardBench(spec ShardBenchSpec, jsonPath string, w io.Writer) (*ShardBenchResult, error) {
 	spec = spec.fill()
 	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 9})
@@ -179,18 +148,8 @@ func RunShardBench(spec ShardBenchSpec, jsonPath string, w io.Writer) (*ShardBen
 	fmt.Fprintf(w, "shard bench: %d objects (%d coefficients), %d readers + %d writers, %v per config\n",
 		spec.Objects, n, spec.Readers, spec.Writers, spec.Duration)
 
-	base := lockedChurn{index.NewConcurrent(index.NewMotionAware(d.Store, index.XYW, rtree.Config{}))}
-	reads, writes := measure(spec, base, bounds, n)
-	res.Baseline = ShardBenchPoint{
-		Index: base.Name(), Shards: 0, Reads: reads, Writes: writes,
-		ReadsPerSec:  float64(reads) / spec.Duration.Seconds(),
-		WritesPerSec: float64(writes) / spec.Duration.Seconds(),
-	}
-	fmt.Fprintf(w, "  %-28s reads/s %10.0f · writes/s %10.0f\n",
-		"single-lock baseline", res.Baseline.ReadsPerSec, res.Baseline.WritesPerSec)
-
 	for _, k := range spec.Shards {
-		sh := shardedChurn{index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: k})}
+		sh := index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: k})
 		reads, writes := measure(spec, sh, bounds, n)
 		p := ShardBenchPoint{
 			Index: sh.Name(), Shards: k, Reads: reads, Writes: writes,
@@ -202,15 +161,15 @@ func RunShardBench(spec ShardBenchSpec, jsonPath string, w io.Writer) (*ShardBen
 			fmt.Sprintf("sharded k=%d", k), p.ReadsPerSec, p.WritesPerSec)
 	}
 
-	best := res.Points[0]
+	base, best := res.Points[0], res.Points[0]
 	for _, p := range res.Points[1:] {
 		if p.WritesPerSec > best.WritesPerSec {
 			best = p
 		}
 	}
-	fmt.Fprintf(w, "  best sharded write throughput: k=%d at %.0f writes/s (baseline %.0f, %.1fx)\n",
-		best.Shards, best.WritesPerSec, res.Baseline.WritesPerSec,
-		best.WritesPerSec/max(res.Baseline.WritesPerSec, 1))
+	fmt.Fprintf(w, "  best sharded write throughput: k=%d at %.0f writes/s (baseline k=%d %.0f, %.1fx)\n",
+		best.Shards, best.WritesPerSec, base.Shards, base.WritesPerSec,
+		best.WritesPerSec/max(base.WritesPerSec, 1))
 
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(res, "", "  ")

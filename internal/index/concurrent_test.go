@@ -36,18 +36,6 @@ func sortedIDs(ids []int64) []int64 {
 	return out
 }
 
-func idsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestConcurrentSearchEqualsSerial is the read-path property test: for
 // random coefficient sets and random query batches, every access method
 // must return, under heavy goroutine concurrency, exactly the results
@@ -106,7 +94,7 @@ func TestConcurrentSearchEqualsSerial(t *testing.T) {
 						for k := range queries {
 							i := (k + g*len(queries)/goroutines) % len(queries)
 							ids, io := idx.Search(queries[i])
-							if got := sortedIDs(ids); !idsEqual(got, wantIDs[i]) {
+							if got := sortedIDs(ids); !equalIDs(got, wantIDs[i]) {
 								errs <- fmt.Errorf("goroutine %d query %d: %d ids, serial %d",
 									g, i, len(got), len(wantIDs[i]))
 								return
@@ -175,134 +163,4 @@ func TestMotionAwareInsertDelete(t *testing.T) {
 	if err := ma.Tree().Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestConcurrentWrapperServesReadersDuringUpdates churns one object's
-// coefficients through Delete/Insert on a background writer while reader
-// goroutines run full-space searches through the Concurrent wrapper.
-// Every read must observe a consistent index: all untouched coefficients
-// present exactly once, churned ones present at most once. Run under
-// -race this proves the reader/writer locking.
-func TestConcurrentWrapperServesReadersDuringUpdates(t *testing.T) {
-	s := testStore(t, 6, 32)
-	ma := NewMotionAware(s, XYW, rtree.Config{})
-	c := NewConcurrent(ma)
-	total := c.Len()
-
-	var churn []int64
-	for v := range s.Objects[0].Coeffs {
-		churn = append(churn, s.ID(0, int32(v)))
-	}
-	stable := make(map[int64]bool)
-	for id := int64(0); id < s.NumCoeffs(); id++ {
-		stable[id] = true
-	}
-	for _, id := range churn {
-		delete(stable, id)
-	}
-
-	all := Query{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}
-	stop := make(chan struct{})
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, id := range churn {
-				c.Delete(id)
-			}
-			// Batch reinsert under one write lock.
-			c.Update(func(idx Index) {
-				m := idx.(*MotionAware)
-				for _, id := range churn {
-					m.Insert(id)
-				}
-			})
-		}
-	}()
-
-	const readers = 4
-	const reads = 40
-	var wg sync.WaitGroup
-	errs := make(chan error, readers)
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < reads; k++ {
-				ids, _ := c.Search(all)
-				seen := make(map[int64]bool, len(ids))
-				for _, id := range ids {
-					if seen[id] {
-						errs <- fmt.Errorf("reader %d: duplicate id %d", g, id)
-						return
-					}
-					seen[id] = true
-				}
-				for id := range stable {
-					if !seen[id] {
-						errs <- fmt.Errorf("reader %d: stable id %d missing", g, id)
-						return
-					}
-				}
-				if n := c.Len(); n < len(stable) || n > total {
-					errs <- fmt.Errorf("reader %d: len %d outside [%d, %d]",
-						g, n, len(stable), total)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	writerWG.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	// Once the writer finishes, the index is whole again.
-	if c.Len() != total {
-		t.Fatalf("final len = %d, want %d", c.Len(), total)
-	}
-	ids, _ := c.Search(all)
-	if len(ids) != total {
-		t.Fatalf("final search returned %d of %d", len(ids), total)
-	}
-	if err := ma.Tree().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestConcurrentWrapperBasics covers the wrapper's pass-throughs and the
-// non-mutable guard.
-func TestConcurrentWrapperBasics(t *testing.T) {
-	s := testStore(t, 2, 33)
-	ma := NewMotionAware(s, XYW, rtree.Config{})
-	c := NewConcurrent(ma)
-	if c.Unwrap() != Index(ma) {
-		t.Error("Unwrap returned a different index")
-	}
-	if c.Name() != "concurrent("+ma.Name()+")" {
-		t.Errorf("name = %q", c.Name())
-	}
-	if c.Len() != ma.Len() {
-		t.Errorf("len = %d, want %d", c.Len(), ma.Len())
-	}
-	var _ Index = c   // wrapper satisfies the read interface
-	var _ Mutable = c // and the mutable one
-	var _ Mutable = ma
-
-	nonMutable := NewConcurrent(NewObjectIndex(s, rtree.Config{}))
-	defer func() {
-		if recover() == nil {
-			t.Error("Insert on a non-mutable index did not panic")
-		}
-	}()
-	nonMutable.Insert(0)
 }

@@ -4,23 +4,14 @@ import "repro/internal/rtree"
 
 // Cursor is reusable per-caller search scratch for the allocation-free
 // SearchInto path: the R-tree traversal stack plus, for the sharded
-// index, the fan-out candidate list, the per-shard result slabs, and the
-// per-worker traversal stacks. A zero Cursor is ready to use; buffers
-// grow on first use and are retained, so steady-state searches allocate
-// nothing. A Cursor must not be shared by concurrent searches — the
+// index, the list of candidate shards. A zero Cursor is ready to use;
+// buffers grow on first use and are retained, so steady-state searches
+// allocate nothing. A Cursor must not be shared by concurrent searches — the
 // serving layer keeps one per session (or per worker), exactly like the
 // result buffer it helps fill.
 type Cursor struct {
 	rt   rtree.Cursor
 	cand []int
-	hits []cursorHit
-	rts  []rtree.Cursor
-}
-
-// cursorHit is one shard's raw output slab, reused across searches.
-type cursorHit struct {
-	ids []int64
-	io  int64
 }
 
 // IntoSearcher is an Index that can additionally append its results to a
@@ -40,8 +31,8 @@ type IntoSearcher interface {
 // while a mutation is in flight, even when quiescent, and strictly
 // greater after a mutation completes than before it started. Result
 // caches key their entries by epoch: an entry stored at an even epoch E
-// is valid exactly while Epoch() == E. Concurrent and Sharded implement
-// it; the bump protocol is documented on their Insert/Delete methods.
+// is valid exactly while Epoch() == E. Sharded implements it; the bump
+// protocol is documented on its Insert/Delete methods.
 type Epocher interface {
 	Epoch() uint64
 }
@@ -50,7 +41,5 @@ type Epocher interface {
 var (
 	_ IntoSearcher = (*MotionAware)(nil)
 	_ IntoSearcher = (*Sharded)(nil)
-	_ IntoSearcher = (*Concurrent)(nil)
 	_ Epocher      = (*Sharded)(nil)
-	_ Epocher      = (*Concurrent)(nil)
 )

@@ -12,15 +12,10 @@ import (
 // across random queries, with the cursor and buffer reused throughout.
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	store := testStore(t, 12, 19)
-	serial := NewSharded(store, XYW, ShardedConfig{Shards: 8})
-	serial.SetParallelism(1)
-	parallel := NewSharded(store, XYW, ShardedConfig{Shards: 8, Workers: 4})
 	indexes := []IntoSearcher{
 		NewMotionAware(store, XYW, rtree.Config{}),
 		NewMotionAware(store, XYZW, rtree.Config{}),
-		serial,
-		parallel,
-		NewConcurrent(NewMotionAware(store, XYW, rtree.Config{})),
+		NewSharded(store, XYW, ShardedConfig{Shards: 8}),
 	}
 	rng := rand.New(rand.NewSource(23))
 	bounds := store.Bounds()
@@ -64,21 +59,22 @@ func TestSearchIntoAppends(t *testing.T) {
 	}
 }
 
-// TestSearchIntoAllocFree pins the tentpole's steady-state contract: a
-// warmed-up serial search allocates nothing, for both the single tree
-// and the sharded fan-out at parallelism 1.
+// TestSearchIntoAllocFree pins the steady-state contract: a warmed-up
+// search allocates nothing, for both the single tree and the default
+// Sharded index on a query spanning several shards.
 func TestSearchIntoAllocFree(t *testing.T) {
 	store := testStore(t, 12, 5)
-	sharded := NewSharded(store, XYW, ShardedConfig{Shards: 8})
-	sharded.SetParallelism(1)
 	q := Query{Region: store.Bounds().XY(), ZMin: 0, ZMax: 100, WMin: 0, WMax: 0.5}
 	for _, idx := range []IntoSearcher{
 		NewMotionAware(store, XYW, rtree.Config{}),
-		sharded,
+		NewSharded(store, XYW, ShardedConfig{Shards: 8}),
 	} {
 		var cur Cursor
 		var buf []int64
 		buf, _ = idx.SearchInto(q, buf[:0], &cur) // warm scratch and buffer
+		if _, ok := idx.(*Sharded); ok && len(cur.cand) <= 1 {
+			t.Fatalf("%s: query touched %d shards, want a multi-shard search", idx.Name(), len(cur.cand))
+		}
 		allocs := testing.AllocsPerRun(100, func() {
 			buf, _ = idx.SearchInto(q, buf[:0], &cur)
 		})
@@ -89,37 +85,19 @@ func TestSearchIntoAllocFree(t *testing.T) {
 }
 
 // TestEpochProtocol pins the seqlock bump discipline caches depend on:
-// even at rest, +2 across every completed mutation, for both epoch
-// implementations.
+// even at rest, +2 across every completed mutation.
 func TestEpochProtocol(t *testing.T) {
 	store := testStore(t, 6, 11)
-	sharded := NewSharded(store, XYW, ShardedConfig{Shards: 4})
-	conc := NewConcurrent(NewMotionAware(store, XYW, rtree.Config{}))
-	for _, tc := range []struct {
-		name string
-		e    Epocher
-		m    Mutable
-	}{
-		{"sharded", sharded, sharded},
-		{"concurrent", conc, conc},
-	} {
-		e0 := tc.e.Epoch()
-		if e0%2 != 0 {
-			t.Fatalf("%s: epoch %d odd at rest", tc.name, e0)
-		}
-		if !tc.m.Delete(0) {
-			t.Fatalf("%s: delete 0 failed", tc.name)
-		}
-		tc.m.Insert(0)
-		e1 := tc.e.Epoch()
-		if e1%2 != 0 || e1 != e0+4 {
-			t.Fatalf("%s: epoch %d after delete+insert, want %d", tc.name, e1, e0+4)
-		}
+	idx := NewSharded(store, XYW, ShardedConfig{Shards: 4})
+	e0 := idx.Epoch()
+	if e0%2 != 0 {
+		t.Fatalf("epoch %d odd at rest", e0)
 	}
-	// Update bumps too (it may mutate arbitrarily).
-	before := conc.Epoch()
-	conc.Update(func(Index) {})
-	if got := conc.Epoch(); got != before+2 {
-		t.Fatalf("concurrent: epoch %d after Update, want %d", got, before+2)
+	if !idx.Delete(0) {
+		t.Fatal("delete 0 failed")
+	}
+	idx.Insert(0)
+	if e1 := idx.Epoch(); e1%2 != 0 || e1 != e0+4 {
+		t.Fatalf("epoch %d after delete+insert, want %d", e1, e0+4)
 	}
 }

@@ -107,26 +107,6 @@ func TestShardedMatchesMotionAware(t *testing.T) {
 	}
 }
 
-// TestShardedSerialAndParallelAgree pins that the worker-pool fan-out is
-// invisible in the results.
-func TestShardedSerialAndParallelAgree(t *testing.T) {
-	store := testStore(t, 10, 7)
-	idx := NewSharded(store, XYW, ShardedConfig{Shards: 8})
-	rng := rand.New(rand.NewSource(9))
-	bounds := store.Bounds()
-	for i := 0; i < 50; i++ {
-		q := randQuery(rng, bounds)
-		idx.SetParallelism(8)
-		par, pio := idx.Search(q)
-		idx.SetParallelism(1)
-		ser, sio := idx.Search(q)
-		if !equalIDs(par, ser) || pio != sio {
-			t.Fatalf("parallel (%d ids, io %d) != serial (%d ids, io %d)",
-				len(par), pio, len(ser), sio)
-		}
-	}
-}
-
 // TestShardedConcurrentChurn races readers against per-shard writers; the
 // race detector is the assertion, plus every search staying a subset of
 // the full id space and the final Len reconciling.
