@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-shards bench-serve bench-abr bench-city bench-crowd benchguard allocgate soak fault crash cluster abr city diskfault crowd fuzz ci
+.PHONY: build test race vet bench bench-shards bench-abr bench-city bench-crowd benchguard allocgate soak fault crash cluster abr city diskfault crowd fuzz ci
 
 build:
 	$(GO) build ./...
@@ -30,13 +30,6 @@ bench:
 # baseline; emits the JSON artifact the README's engine section discusses.
 bench-shards: build
 	$(GO) run ./cmd/experiments -bench-shards BENCH_shards.json -objects 60
-
-# Steady-state serve path: 5 end-to-end Execute+encode runs per mode at
-# 1/8/64 concurrent clients, fresh-allocation baseline vs the pooled
-# cursor/cache path; emits BENCH_serve.json (see DESIGN.md "Memory
-# discipline"). `make benchguard` diffs it against HEAD.
-bench-serve: build
-	$(GO) run ./cmd/experiments -bench-serve BENCH_serve.json
 
 # Just the concurrency-focused tests, verbosely.
 soak:
@@ -155,8 +148,8 @@ benchguard:
 
 # The zero-allocation gates, each under GOMAXPROCS=1 and GOMAXPROCS=4, so
 # a gate that only holds on some core counts fails here on any host: the
-# index and R-tree SearchInto paths, the retrieval ExecuteScratch path,
-# and the wire frame codec.
+# index and R-tree SearchInto paths, retrieval Execute on a reused
+# Scratch, and the wire frame codec.
 allocgate:
 	for p in 1 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestSearchIntoAllocFree$$' ./internal/index/ ./internal/rtree/ && \
@@ -174,7 +167,6 @@ fuzz:
 	$(GO) test -fuzz 'FuzzReadResume$$' -fuzztime 10s -run '^$$' ./internal/proto/
 	$(GO) test -fuzz 'FuzzReadSceneSelect$$' -fuzztime 10s -run '^$$' ./internal/proto/
 	$(GO) test -fuzz 'FuzzCRCRejectsFlips$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzBudget$$' -fuzztime 10s -run '^$$' ./internal/proto/
 	$(GO) test -fuzz 'FuzzScan$$' -fuzztime 10s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz 'FuzzSegment$$' -fuzztime 10s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
@@ -184,7 +176,6 @@ ci: build vet test allocgate race fault crash cluster abr city diskfault crowd f
 	# Informational benchmark deltas (never fail the gate): regenerate
 	# the BENCH_*.json artifacts, then diff every artifact against HEAD
 	# with benchguard.
-	-$(MAKE) bench-serve
 	-$(MAKE) bench-abr
 	-$(MAKE) bench-city
 	-$(MAKE) bench-crowd

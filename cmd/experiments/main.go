@@ -12,7 +12,7 @@
 //	            [-city] [-city-blocks N] [-city-clients N]
 //	            [-diskfault] [-diskfault-retries N]
 //	            [-crowd] [-crowd-clients N] [-crowd-overlap F] [-crowd-attractors N]
-//	            [-bench-shards out.json] [-bench-serve out.json] [-bench-abr out.json]
+//	            [-bench-shards out.json] [-bench-abr out.json]
 //	            [-bench-city out.json] [-bench-crowd out.json]
 package main
 
@@ -82,10 +82,6 @@ func main() {
 
 		benchShards = flag.String("bench-shards", "", "run the shard-scaling benchmark and write its JSON result to this file")
 		benchDur    = flag.Duration("bench-duration", 300*time.Millisecond, "measurement window per shard-bench configuration")
-
-		benchServe       = flag.String("bench-serve", "", "run the steady-state serve-path benchmark and write its JSON result to this file")
-		benchServeFrames = flag.Int("bench-serve-frames", 0, "frames per client per serve-bench run (0 = default 200)")
-		benchServeRuns   = flag.Int("bench-serve-runs", 0, "serve-bench repetitions per configuration (0 = default 5)")
 	)
 	statsFlags := stats.RegisterFlags(flag.CommandLine, 0)
 	flag.Parse()
@@ -121,21 +117,6 @@ func main() {
 			Duration: *benchDur,
 		}
 		if _, err := experiment.RunShardBench(spec, *benchShards, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchServe != "" {
-		spec := experiment.ServeBenchSpec{
-			Seed:    *seed,
-			Objects: *objects,
-			Shards:  *shards,
-			Frames:  *benchServeFrames,
-			Runs:    *benchServeRuns,
-		}
-		if _, err := experiment.RunServeBench(spec, *benchServe, w); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

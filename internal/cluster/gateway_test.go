@@ -15,6 +15,7 @@ import (
 	"repro/internal/motion"
 	"repro/internal/proto"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 	"repro/internal/workload"
 )
 
@@ -143,6 +144,61 @@ func TestGatewayUnknownScene(t *testing.T) {
 		t.Fatalf("scene = %q", c.Scene())
 	}
 	c.Close()
+}
+
+// TestGatewayBudgetedFirstFrame pins that the gateway forwards a session
+// whose first frame carries a byte budget: through the gateway and
+// direct to the backend, the same budgeted tour yields the same
+// coefficient counts, the same withheld counts, and the same meshes.
+func TestGatewayBudgetedFirstFrame(t *testing.T) {
+	st := stats.New()
+	cfg := sceneConfig(t, sceneSpec{"city", 7}, st)
+	b, err := StartBackend(BackendConfig{Scenes: []engine.SceneConfig{cfg}, Stats: st, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	top := &Topology{Order: []string{"city"}, Replicas: map[string][]string{"city": {b.Addr()}}}
+	_, gwAddr := startGateway(t, top, stats.New(), 0)
+
+	direct, err := proto.DialScene(b.Addr(), "city", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	proxied, err := proto.DialScene(gwAddr, "city", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxied.Close()
+
+	// Whole-space frames at full resolution under a budget far below the
+	// scene's payload: every frame truncates until the session has
+	// received everything.
+	space := cfg.Dataset.Store.Bounds().XY()
+	const budget = 256 * wavelet.WireBytes
+	truncated := false
+	for i := 0; i < 6; i++ {
+		wantN, wantDropped, err := direct.FrameBudget(space, 0, budget, 3)
+		if err != nil {
+			t.Fatalf("direct frame %d: %v", i, err)
+		}
+		n, dropped, err := proxied.FrameBudget(space, 0, budget, 3)
+		if err != nil {
+			t.Fatalf("gateway frame %d: %v", i, err)
+		}
+		if n != wantN || dropped != wantDropped {
+			t.Fatalf("frame %d: gateway %d coeffs / %d dropped, direct %d / %d", i, n, dropped, wantN, wantDropped)
+		}
+		truncated = truncated || dropped > 0
+	}
+	if !truncated {
+		t.Fatal("no frame was truncated; the budget is not exercised")
+	}
+	if proxied.Coefficients != direct.Coefficients {
+		t.Fatalf("gateway session received %d coefficients, direct %d", proxied.Coefficients, direct.Coefficients)
+	}
+	assertMeshesMatch(t, "budgeted tour", direct, proxied)
 }
 
 // TestClusterRaceSoak is the concurrency gate for the cluster layer:

@@ -208,7 +208,7 @@ func TestSessionJournalParkTakeRestore(t *testing.T) {
 
 	// Park two sessions with distinct state; take one back.
 	s1 := retrieval.NewSession(city.Server)
-	s1.Retrieve([]retrieval.SubQuery{{Region: city.Source.Bounds().XY(), WMin: 0, WMax: 1}})
+	s1.RetrieveScratch([]retrieval.SubQuery{{Region: city.Source.Bounds().XY(), WMin: 0, WMax: 1}})
 	if s1.Delivered() == 0 {
 		t.Fatal("test session delivered nothing")
 	}

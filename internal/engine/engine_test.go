@@ -90,7 +90,7 @@ func TestRegistryBuildAndRouting(t *testing.T) {
 
 	// A scene's requests land in its own stats breakdown.
 	sess := retrieval.NewSession(park.Server)
-	sess.Retrieve([]retrieval.SubQuery{{Region: park.Source.Bounds().XY(), WMin: 0, WMax: 1}})
+	sess.RetrieveScratch([]retrieval.SubQuery{{Region: park.Source.Bounds().XY(), WMin: 0, WMax: 1}})
 	snap := st.Snapshot()
 	if snap.Scenes["park"].Requests != 1 || snap.Scenes["park"].Coeffs == 0 {
 		t.Fatalf("park breakdown = %+v", snap.Scenes["park"])
@@ -190,8 +190,8 @@ func TestHotCacheWiring(t *testing.T) {
 	}
 
 	subs := []retrieval.SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	sc.Server.Execute(subs, nil)
-	sc.Server.Execute(subs, nil)
+	sc.Server.Execute(subs, nil, nil, 0)
+	sc.Server.Execute(subs, nil, nil, 0)
 	snap := st.Snapshot()
 	if snap.HotCaches != 2 {
 		t.Fatalf("HotCaches = %d, want 2", snap.HotCaches)

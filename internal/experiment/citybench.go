@@ -143,9 +143,9 @@ func RunCityBench(spec CityBenchSpec, jsonPath string, w io.Writer) (*CityBenchR
 		start := time.Now()
 		for i, pos := range tour.Pos {
 			q := geom.RectAround(pos, side)
-			resp := srv.ExecuteScratch([]retrieval.SubQuery{
+			resp := srv.Execute([]retrieval.SubQuery{
 				{Region: q, WMin: retrieval.Identity(tour.SpeedAt(i)), WMax: 1},
-			}, nil, &sc)
+			}, nil, &sc, 0)
 			point.Coefficients += int64(len(resp.IDs))
 			st := ps.PagerStats()
 			if st.ResidentBytes > point.ResidentPeak {

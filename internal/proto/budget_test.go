@@ -30,15 +30,15 @@ func TestBudgetRequestRoundtrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetRequest(req); err != nil {
+	if err := NewWriter(&buf).WriteRequest(req); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
 	tag, err := r.ReadTag()
-	if err != nil || tag != TagBudgetRequest {
+	if err != nil || tag != TagRequest {
 		t.Fatalf("tag = %d err = %v", tag, err)
 	}
-	got, err := r.ReadBudgetRequest()
+	got, err := r.ReadRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,24 +52,18 @@ func TestBudgetRequestRoundtrip(t *testing.T) {
 
 func TestBudgetRequestRejectsNegativeBudget(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetRequest(Request{MaxBytes: -1}); err == nil {
+	if err := NewWriter(&buf).WriteRequest(Request{MaxBytes: -1}); err == nil {
 		t.Fatal("negative budget encoded")
 	}
 
 	// A crafted frame with a valid checksum over a negative budget must
 	// be rejected by the decoder's post-CRC validation (not as ErrChecksum
 	// — the bytes arrived intact, the field is garbage).
-	var body []byte
-	body = le64(body, uint64(^uint64(0))) // MaxBytes = -1
-	body = le64(body, math.Float64bits(0.5))
-	body = le32(body, 0) // no sub-queries
-	frame := append([]byte{TagBudgetRequest}, body...)
-	frame = le32(frame, crc32.Checksum(body, crcTable))
-	r := NewReader(bytes.NewReader(frame))
+	r := NewReader(bytes.NewReader(checksummed(TagRequest, negativeBudgetBody())))
 	if _, err := r.ReadTag(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBudgetRequest(); err == nil || err == ErrChecksum {
+	if _, err := r.ReadRequest(); err == nil || err == ErrChecksum {
 		t.Fatalf("negative wire budget: err = %v, want a validation error", err)
 	}
 }
@@ -86,11 +80,11 @@ func TestBudgetResponseRoundtrip(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	tag, err := r.ReadTag()
-	if err != nil || tag != TagBudgetResponse {
+	if err != nil || tag != TagResponse {
 		t.Fatalf("tag = %d err = %v", tag, err)
 	}
 	var resp Response
-	if err := r.ReadBudgetResponseInto(&resp); err != nil {
+	if err := r.ReadResponseInto(&resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.IO != 7 || resp.Seq != 3 || resp.Dropped != 11 || resp.Budget != 9999 {
@@ -107,9 +101,25 @@ func TestBudgetResponseRoundtrip(t *testing.T) {
 	if err := NewWriter(&buf).WriteBudgetResponsePayload(0, 0, 1, 0, -1, nil); err == nil {
 		t.Fatal("negative budget encoded")
 	}
+	if err := NewWriter(&buf).WriteResponse(Response{Dropped: -1}); err == nil {
+		t.Fatal("negative dropped count encoded by WriteResponse")
+	}
 
-	// Reusing the decode scratch for a plain response must zero the
+	// A crafted frame with a valid checksum over negative metadata is
+	// rejected by the post-CRC validation, not as corruption.
+	for _, meta := range [][2]int64{{-1, 0}, {0, -1}} {
+		r := NewReader(bytes.NewReader(checksummed(TagResponse, emptyResponseBody(meta[0], meta[1]))))
+		if _, err := r.ReadTag(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ReadResponseInto(&resp); err == nil || err == ErrChecksum {
+			t.Fatalf("metadata %v: err = %v, want a validation error", meta, err)
+		}
+	}
+
+	// Reusing the decode scratch for an unbudgeted response must zero the
 	// budget metadata, not leak the previous frame's.
+	resp = Response{Dropped: 11, Budget: 9999}
 	buf.Reset()
 	if err := NewWriter(&buf).WriteResponsePayload(0, 1, 4, nil); err != nil {
 		t.Fatal(err)
@@ -122,14 +132,15 @@ func TestBudgetResponseRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Dropped != 0 || resp.Budget != 0 {
-		t.Fatalf("plain response leaked budget metadata %d/%d", resp.Dropped, resp.Budget)
+		t.Fatalf("unbudgeted response leaked budget metadata %d/%d", resp.Dropped, resp.Budget)
 	}
 }
 
-// TestBudgetFrameLayoutPin hand-encodes both budgeted frames with
-// binary.LittleEndian and pins the writers to those exact bytes — and
-// pins that the budgeted request is precisely the version-3 request body
-// behind an 8-byte budget prefix, so the v3 layout provably did not move.
+// TestBudgetFrameLayoutPin hand-encodes the version-5 request and response
+// frames with binary.LittleEndian and pins the writers to those exact
+// bytes. Request: tag, budget, speed, sub-query count, six float64 per
+// sub-query, CRC. Response: tag, count, io, seq, dropped, budget,
+// records, CRC.
 func TestBudgetFrameLayoutPin(t *testing.T) {
 	req := Request{
 		Speed:    1.5,
@@ -143,47 +154,40 @@ func TestBudgetFrameLayoutPin(t *testing.T) {
 	for _, f := range []float64{1, 2, 3, 4, 0.25, 0.75} {
 		body = le64(body, math.Float64bits(f))
 	}
-	want := append([]byte{TagBudgetRequest}, body...)
+	want := append([]byte{TagRequest}, body...)
 	want = le32(want, crc32.Checksum(body, crcTable))
 
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetRequest(req); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("budget request layout drifted:\n got %x\nwant %x", buf.Bytes(), want)
-	}
-
-	// The version-3 request frame is the same body without the prefix.
-	v3body := body[8:]
-	wantV3 := append([]byte{TagRequest}, v3body...)
-	wantV3 = le32(wantV3, crc32.Checksum(v3body, crcTable))
-	buf.Reset()
 	if err := NewWriter(&buf).WriteRequest(req); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), wantV3) {
-		t.Fatalf("v3 request layout drifted:\n got %x\nwant %x", buf.Bytes(), wantV3)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("request layout drifted:\n got %x\nwant %x", buf.Bytes(), want)
 	}
 
-	// Budgeted response: count, io, seq, dropped, budget, records, CRC.
 	coeff := Coeff{Object: 3, Vertex: 9, Delta: geom.Vec3{X: 0.5, Y: -1, Z: 2}, Pos: [3]float32{7, 8, 9}, Value: 0.25}
-	payload := EncodeResponsePayload(nil, []Coeff{coeff})
 	var rbody []byte
 	rbody = le32(rbody, 1)
 	rbody = le64(rbody, 42)   // io
 	rbody = le64(rbody, 6)    // seq
 	rbody = le64(rbody, 5)    // dropped
 	rbody = le64(rbody, 4096) // budget
-	rbody = append(rbody, payload...)
-	wantResp := append([]byte{TagBudgetResponse}, rbody...)
+	rbody = le32(rbody, 3)    // object
+	rbody = le32(rbody, 9)    // vertex
+	for _, f := range []float64{0.5, -1, 2} {
+		rbody = le64(rbody, math.Float64bits(f))
+	}
+	for _, f := range []float32{7, 8, 9, 0.25} {
+		rbody = le32(rbody, math.Float32bits(f))
+	}
+	wantResp := append([]byte{TagResponse}, rbody...)
 	wantResp = le32(wantResp, crc32.Checksum(rbody, crcTable))
 	buf.Reset()
-	if err := NewWriter(&buf).WriteBudgetResponsePayload(1, 42, 6, 5, 4096, payload); err != nil {
+	if err := NewWriter(&buf).WriteResponse(Response{Coeffs: []Coeff{coeff}, IO: 42, Seq: 6, Dropped: 5, Budget: 4096}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), wantResp) {
-		t.Fatalf("budget response layout drifted:\n got %x\nwant %x", buf.Bytes(), wantResp)
+		t.Fatalf("response layout drifted:\n got %x\nwant %x", buf.Bytes(), wantResp)
 	}
 }
 
@@ -203,9 +207,9 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 }
 
 // rawExchange dials the server, completes the handshake, sends one
-// request frame, and returns the server's reply both parsed and as the
-// raw frame bytes it arrived in.
-func rawExchange(t *testing.T, addr string, send func(*Writer) error, wantTag byte) ([]byte, Response) {
+// request frame, and returns the server's response both parsed and as
+// the raw frame bytes it arrived in.
+func rawExchange(t *testing.T, addr string, send func(*Writer) error) ([]byte, Response) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -227,46 +231,44 @@ func rawExchange(t *testing.T, addr string, send func(*Writer) error, wantTag by
 		t.Fatal(err)
 	}
 	tag, err := r.ReadTag()
-	if err != nil || tag != wantTag {
-		t.Fatalf("reply tag = %d err = %v, want %d", tag, err, wantTag)
+	if err != nil || tag != TagResponse {
+		t.Fatalf("reply tag = %d err = %v, want %d", tag, err, TagResponse)
 	}
 	var resp Response
-	if wantTag == TagBudgetResponse {
-		err = r.ReadBudgetResponseInto(&resp)
-	} else {
-		err = r.ReadResponseInto(&resp)
-	}
-	if err != nil {
+	if err := r.ReadResponseInto(&resp); err != nil {
 		t.Fatal(err)
 	}
 	return append([]byte(nil), rc.rec.Bytes()...), resp
 }
 
-// TestBudgetZeroMatchesPlainWire is the protocol-level oracle-equality
-// test: for the same sub-queries against fresh sessions, a budgeted
-// request with MaxBytes = 0 must yield a response that is the version-3
-// response byte for byte, except for the tag and the 16 bytes of zero
-// truncation metadata (and the CRC that covers them). The test proves it
-// by surgery: deleting those 16 bytes from the captured v4 frame and
-// re-checksumming must reproduce the captured v3 frame exactly.
+// TestBudgetZeroMatchesPlainWire pins that a zero budget is the plain
+// Algorithm-1 frame: against a budget large enough for the whole
+// universe it returns the same records, io and seq, its truncation
+// metadata bytes are zero, and its frame is the generous frame with the
+// budget field zeroed, byte for byte.
 func TestBudgetZeroMatchesPlainWire(t *testing.T) {
 	addr, d, _, _, shutdown := startHardenedServer(t, nil)
 	defer shutdown()
-	space := d.Store.Bounds().XY()
-	subs := []retrieval.SubQuery{{Region: space, WMin: 0, WMax: 1}}
+	subs := []retrieval.SubQuery{{Region: d.Store.Bounds().XY(), WMin: 0, WMax: 1}}
+	send := func(maxBytes int64) func(*Writer) error {
+		return func(w *Writer) error {
+			return w.WriteRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: maxBytes})
+		}
+	}
 
-	plainFrame, plainResp := rawExchange(t, addr, func(w *Writer) error {
-		return w.WriteRequest(Request{Speed: 0.3, Subs: subs})
-	}, TagResponse)
-	budgetFrame, budgetResp := rawExchange(t, addr, func(w *Writer) error {
-		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: 0})
-	}, TagBudgetResponse)
+	plainFrame, plainResp := rawExchange(t, addr, send(0))
+	generous := int64(d.Store.NumCoeffs()+1) * wavelet.WireBytes
+	budgetFrame, budgetResp := rawExchange(t, addr, send(generous))
 
 	if len(plainResp.Coeffs) == 0 {
 		t.Fatal("whole-space query returned no coefficients")
 	}
-	if budgetResp.Dropped != 0 || budgetResp.Budget != 0 {
-		t.Fatalf("unlimited budget truncated: dropped %d budget %d", budgetResp.Dropped, budgetResp.Budget)
+	if plainResp.Dropped != 0 || plainResp.Budget != 0 || budgetResp.Dropped != 0 {
+		t.Fatalf("untruncated frames report dropped %d/%d, plain budget %d",
+			plainResp.Dropped, budgetResp.Dropped, plainResp.Budget)
+	}
+	if budgetResp.Budget != generous {
+		t.Fatalf("generous frame reports budget %d, want %d", budgetResp.Budget, generous)
 	}
 	if !reflect.DeepEqual(plainResp.Coeffs, budgetResp.Coeffs) {
 		t.Fatalf("coefficient streams diverge: %d vs %d records", len(plainResp.Coeffs), len(budgetResp.Coeffs))
@@ -276,16 +278,15 @@ func TestBudgetZeroMatchesPlainWire(t *testing.T) {
 	}
 
 	const metaOff = 1 + 4 + 8 + 8 // tag, count, io, seq
-	meta := budgetFrame[metaOff : metaOff+16]
-	if !bytes.Equal(meta, make([]byte, 16)) {
+	if meta := plainFrame[metaOff : metaOff+16]; !bytes.Equal(meta, make([]byte, 16)) {
 		t.Fatalf("unlimited response carries non-zero metadata %x", meta)
 	}
-	body := append([]byte(nil), budgetFrame[1:metaOff]...)
-	body = append(body, budgetFrame[metaOff+16:len(budgetFrame)-4]...)
+	body := append([]byte(nil), budgetFrame[1:len(budgetFrame)-4]...)
+	binary.LittleEndian.PutUint64(body[metaOff-1+8:], 0) // budget field
 	want := append([]byte{TagResponse}, body...)
 	want = le32(want, crc32.Checksum(body, crcTable))
 	if !bytes.Equal(plainFrame, want) {
-		t.Fatalf("v4 response is not the v3 response plus metadata (%d vs %d bytes)", len(plainFrame), len(want))
+		t.Fatalf("zero-budget frame is not the generous frame with budget 0 (%d vs %d bytes)", len(plainFrame), len(want))
 	}
 }
 
@@ -356,47 +357,44 @@ func TestFrameBudgetTruncationConvergence(t *testing.T) {
 	}
 }
 
-// TestBudgetCapClampsBudgetedOnly pins the server-side cap's asymmetry:
-// budgeted requests are clamped — including the "unlimited" MaxBytes = 0
-// — while plain requests are never capped, preserving the v3 oracle.
-func TestBudgetCapClampsBudgetedOnly(t *testing.T) {
+// TestBudgetCapClampsPositiveBudgets pins the server-side cap rule, the
+// same for every frame: a positive budget above the cap is clamped to it
+// (and the response reports the clamped budget and truncates), while a
+// zero budget stays unlimited — a capped server answers it byte for byte
+// like an uncapped one.
+func TestBudgetCapClampsPositiveBudgets(t *testing.T) {
 	const capCoeffs = 40
 	capBytes := int64(capCoeffs) * wavelet.WireBytes
 	addr, d, _, _, shutdown := startHardenedServer(t, func(s *Server) {
 		s.SetBudgetCap(capBytes)
 	})
 	defer shutdown()
-	space := d.Store.Bounds().XY()
-
-	plain, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n0, err := plain.Frame(space, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Close()
-	if n0 <= capCoeffs {
-		t.Fatalf("universe of %d coeffs too small to exercise a %d-coeff cap", n0, capCoeffs)
+	uncapped, _, _, _, shutdownUncapped := startHardenedServer(t, nil)
+	defer shutdownUncapped()
+	subs := []retrieval.SubQuery{{Region: d.Store.Bounds().XY(), WMin: 0, WMax: 1}}
+	send := func(maxBytes int64) func(*Writer) error {
+		return func(w *Writer) error {
+			return w.WriteRequest(Request{Speed: 0, Subs: subs, MaxBytes: maxBytes})
+		}
 	}
 
-	for _, maxBytes := range []int64{0, capBytes * 4} {
-		c, err := Dial(addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, dropped, err := c.FrameBudget(space, 0, maxBytes, 3)
-		c.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > capCoeffs {
-			t.Fatalf("MaxBytes=%d: %d coeffs exceed the server cap of %d", maxBytes, n, capCoeffs)
-		}
-		if dropped == 0 {
-			t.Fatalf("MaxBytes=%d: capped response reports nothing withheld", maxBytes)
-		}
+	capped, resp := rawExchange(t, addr, send(0))
+	plain, _ := rawExchange(t, uncapped, send(0))
+	if !bytes.Equal(capped, plain) {
+		t.Fatalf("zero-budget frame differs under a cap (%d vs %d bytes)", len(capped), len(plain))
+	}
+	if len(resp.Coeffs) <= capCoeffs || resp.Dropped != 0 || resp.Budget != 0 {
+		t.Fatalf("zero-budget frame: %d coeffs, %d dropped, budget %d; want > %d coeffs, unlimited",
+			len(resp.Coeffs), resp.Dropped, resp.Budget, capCoeffs)
+	}
+
+	_, resp = rawExchange(t, addr, send(capBytes*4))
+	if resp.Budget != capBytes {
+		t.Fatalf("effective budget %d, want the cap %d", resp.Budget, capBytes)
+	}
+	if len(resp.Coeffs) != capCoeffs || resp.Dropped == 0 {
+		t.Fatalf("capped frame: %d coeffs, %d dropped; want %d coeffs and a truncation",
+			len(resp.Coeffs), resp.Dropped, capCoeffs)
 	}
 }
 

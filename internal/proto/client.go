@@ -237,40 +237,12 @@ func (c *Client) AppliedSeq() int64 { return c.appliedSeq }
 // the type comment for which states are safe to retry from.
 func (c *Client) Frame(q geom.Rect2, speed float64) (int, error) {
 	subs := c.planner.PlanFrame(q, speed)
-	if err := c.w.WriteRequest(Request{Speed: speed, Subs: subs}); err != nil {
-		return 0, err
-	}
-	tag, err := c.r.ReadTag()
+	resp, err := c.roundTrip(Request{Speed: speed, Subs: subs})
 	if err != nil {
 		return 0, err
 	}
-	switch tag {
-	case TagResponse:
-		if err := c.r.ReadResponseInto(&c.resp); err != nil {
-			return 0, err
-		}
-		resp := &c.resp
-		if resp.Seq != c.appliedSeq+1 {
-			return 0, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
-		}
-		for i := range resp.Coeffs {
-			c.apply(&resp.Coeffs[i])
-		}
-		c.appliedSeq = resp.Seq
-		c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
-		c.Coefficients += int64(len(resp.Coeffs))
-		c.ServerIO += resp.IO
-		c.planner.Advance(q, speed)
-		return len(resp.Coeffs), nil
-	case TagError:
-		msg, err := c.r.ReadError()
-		if err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("proto: server error: %s", msg)
-	default:
-		return 0, fmt.Errorf("proto: unexpected tag %d", tag)
-	}
+	c.planner.Advance(q, speed)
+	return len(resp.Coeffs), nil
 }
 
 // FrameBudget issues one budgeted query frame: the viewport-utility
@@ -288,42 +260,52 @@ func (c *Client) Frame(q geom.Rect2, speed float64) (int, error) {
 // history is reset, so a subsequent plain Frame re-covers its window
 // rather than trusting a truncated frame's coverage.
 func (c *Client) FrameBudget(q geom.Rect2, speed float64, maxBytes int64, rings int) (n int, droppedCoeffs int64, err error) {
-	w := c.mapSpeed(speed)
-	subs := abr.PlanViewport(q, q.Center(), w, rings)
-	if err := c.w.WriteBudgetRequest(Request{Speed: speed, Subs: subs, MaxBytes: maxBytes}); err != nil {
-		return 0, 0, err
-	}
+	subs := abr.PlanViewport(q, q.Center(), c.mapSpeed(speed), rings)
 	c.planner.Reset()
-	tag, err := c.r.ReadTag()
+	resp, err := c.roundTrip(Request{Speed: speed, Subs: subs, MaxBytes: maxBytes})
 	if err != nil {
 		return 0, 0, err
 	}
+	return len(resp.Coeffs), resp.Dropped, nil
+}
+
+// roundTrip sends one request, reads its response, checks the sequence
+// number, and applies the coefficients. The returned response is the
+// client's decode scratch, valid until the next round trip.
+func (c *Client) roundTrip(req Request) (*Response, error) {
+	if err := c.w.WriteRequest(req); err != nil {
+		return nil, err
+	}
+	tag, err := c.r.ReadTag()
+	if err != nil {
+		return nil, err
+	}
 	switch tag {
-	case TagBudgetResponse:
-		if err := c.r.ReadBudgetResponseInto(&c.resp); err != nil {
-			return 0, 0, err
-		}
-		resp := &c.resp
-		if resp.Seq != c.appliedSeq+1 {
-			return 0, 0, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
-		}
-		for i := range resp.Coeffs {
-			c.apply(&resp.Coeffs[i])
-		}
-		c.appliedSeq = resp.Seq
-		c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
-		c.Coefficients += int64(len(resp.Coeffs))
-		c.ServerIO += resp.IO
-		return len(resp.Coeffs), resp.Dropped, nil
+	case TagResponse:
 	case TagError:
 		msg, err := c.r.ReadError()
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		return 0, 0, fmt.Errorf("proto: server error: %s", msg)
+		return nil, fmt.Errorf("proto: server error: %s", msg)
 	default:
-		return 0, 0, fmt.Errorf("proto: unexpected tag %d", tag)
+		return nil, fmt.Errorf("proto: unexpected tag %d", tag)
 	}
+	resp := &c.resp
+	if err := c.r.ReadResponseInto(resp); err != nil {
+		return nil, err
+	}
+	if resp.Seq != c.appliedSeq+1 {
+		return nil, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
+	}
+	for i := range resp.Coeffs {
+		c.apply(&resp.Coeffs[i])
+	}
+	c.appliedSeq = resp.Seq
+	c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
+	c.Coefficients += int64(len(resp.Coeffs))
+	c.ServerIO += resp.IO
+	return resp, nil
 }
 
 // apply routes one coefficient into its object's reconstructor, creating

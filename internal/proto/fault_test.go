@@ -138,6 +138,7 @@ func TestServerRejectsOversizedRequest(t *testing.T) {
 	var buf bytes.Buffer
 	bw := NewWriter(&buf)
 	bw.u8(TagRequest)
+	bw.i64(0) // MaxBytes
 	bw.f64(0.5)
 	bw.i32(10000)
 	bw.w.Flush()
@@ -217,6 +218,7 @@ func TestServerErrorReplyIsSanitized(t *testing.T) {
 	var buf bytes.Buffer
 	bw := NewWriter(&buf)
 	bw.u8(TagRequest)
+	bw.i64(0) // MaxBytes
 	bw.f64(0.25)
 	bw.i32(-1)
 	bw.w.Flush()

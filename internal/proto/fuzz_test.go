@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"hash/crc32"
+	"math"
 	"testing"
 
 	"repro/internal/engine"
@@ -51,6 +53,22 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
+	// Budgets and truncation metadata: valid, negative under a valid
+	// checksum, and a request with one budget byte flipped.
+	subs := []retrieval.SubQuery{{Region: geom.R2(1, 2, 3, 4), WMin: 0.2, WMax: 0.9}}
+	var budgetReq bytes.Buffer
+	NewWriter(&budgetReq).WriteRequest(Request{Speed: 0.5, Subs: subs, MaxBytes: 4096})
+	f.Add(budgetReq.Bytes())
+	var budgetResp bytes.Buffer
+	payload := EncodeResponsePayload(nil, []Coeff{{Object: 1, Vertex: 9, Value: 0.5}})
+	NewWriter(&budgetResp).WriteBudgetResponsePayload(1, 7, 2, 3, 4096, payload)
+	f.Add(budgetResp.Bytes())
+	f.Add(checksummed(TagRequest, negativeBudgetBody()))
+	f.Add(checksummed(TagResponse, emptyResponseBody(-1, 4096)))
+	flipped := append([]byte(nil), budgetReq.Bytes()...)
+	flipped[2] ^= 0x10
+	f.Add(flipped)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		tag, err := r.ReadTag()
@@ -61,12 +79,17 @@ func FuzzReader(f *testing.F) {
 		case TagHello:
 			r.ReadHello()
 		case TagRequest:
-			if req, err := r.ReadRequest(); err == nil && len(req.Subs) > MaxSubQueries {
-				t.Fatalf("oversized request decoded: %d", len(req.Subs))
+			if req, err := r.ReadRequest(); err == nil {
+				if len(req.Subs) > MaxSubQueries {
+					t.Fatalf("oversized request decoded: %d", len(req.Subs))
+				}
+				if req.MaxBytes < 0 {
+					t.Fatalf("negative budget decoded: %d", req.MaxBytes)
+				}
 			}
 		case TagResponse:
-			if resp, err := r.ReadResponse(); err == nil && len(resp.Coeffs) > MaxCoeffs {
-				t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
+			if resp, err := r.ReadResponse(); err == nil {
+				checkResponse(t, &resp)
 			}
 		case TagError:
 			r.ReadError()
@@ -88,6 +111,41 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checksummed frames a body under its CRC trailer, so the decoder's
+// post-checksum validation is what must reject a garbage field.
+func checksummed(tag byte, body []byte) []byte {
+	return le32(append([]byte{tag}, body...), crc32.Checksum(body, crcTable))
+}
+
+// negativeBudgetBody is a request body whose budget is -1.
+func negativeBudgetBody() []byte {
+	body := le64(nil, ^uint64(0))
+	body = le64(body, math.Float64bits(0.5))
+	return le32(body, 0)
+}
+
+// emptyResponseBody is a record-free response body (seq 1) carrying the
+// given truncation metadata, unchecked.
+func emptyResponseBody(dropped, budget int64) []byte {
+	body := le32(nil, 0)
+	body = le64(body, 0)
+	body = le64(body, 1)
+	body = le64(body, uint64(dropped))
+	return le64(body, uint64(budget))
+}
+
+// checkResponse asserts the bounds every successfully decoded response
+// obeys: a bounded record count and non-negative truncation metadata.
+func checkResponse(t *testing.T, resp *Response) {
+	t.Helper()
+	if len(resp.Coeffs) > MaxCoeffs {
+		t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
+	}
+	if resp.Dropped < 0 || resp.Budget < 0 {
+		t.Fatalf("negative truncation metadata decoded: %d/%d", resp.Dropped, resp.Budget)
+	}
 }
 
 // frameBody strips the tag byte from a written frame, giving the body a
@@ -113,10 +171,18 @@ func FuzzReadResponse(f *testing.F) {
 		return w.WriteResponse(Response{})
 	}))
 	f.Add([]byte{})
+	withheld := frameBody(f, func(w *Writer) error {
+		return w.WriteBudgetResponsePayload(0, 0, 1, 12, 4096, nil) // all withheld
+	})
+	f.Add(withheld)
+	f.Add(emptyResponseBody(-1, 4096))
+	flipped := append([]byte(nil), withheld...)
+	flipped[len(withheld)-5] ^= 0x01 // the budget's top byte
+	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
-		if resp, err := r.ReadResponse(); err == nil && len(resp.Coeffs) > MaxCoeffs {
-			t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
+		if resp, err := r.ReadResponse(); err == nil {
+			checkResponse(t, &resp)
 		}
 	})
 }
@@ -200,108 +266,43 @@ func FuzzReadResume(f *testing.F) {
 }
 
 // FuzzCRCRejectsFlips checks the integrity guarantee end to end: any
-// single-bit flip anywhere in a checksummed frame must be rejected.
+// single-bit flip anywhere past the tag of a checksummed request or
+// response frame must be rejected.
 func FuzzCRCRejectsFlips(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteResponse(Response{IO: 7, Seq: 2, Coeffs: []Coeff{{Object: 1, Vertex: 9, Value: 0.5}}}); err != nil {
+	var resp, req bytes.Buffer
+	if err := NewWriter(&resp).WriteResponse(Response{IO: 7, Seq: 2, Dropped: 3, Budget: 4096,
+		Coeffs: []Coeff{{Object: 1, Vertex: 9, Value: 0.5}}}); err != nil {
 		f.Fatal(err)
 	}
-	frame := buf.Bytes()
-	f.Add(1, uint8(0))
-	f.Add(len(frame)-1, uint8(7))
-	f.Fuzz(func(t *testing.T, pos int, bit uint8) {
-		if pos < 1 || pos >= len(frame) { // tag byte is not checksummed
-			return
-		}
-		mut := append([]byte(nil), frame...)
-		mut[pos] ^= 1 << (bit % 8)
-		r := NewReader(bytes.NewReader(mut))
-		if tag, err := r.ReadTag(); err != nil || tag != TagResponse {
-			return // flipped the length header into an invalid shape: fine
-		}
-		if _, err := r.ReadResponse(); err == nil {
-			t.Fatalf("bit flip at byte %d bit %d went undetected", pos, bit%8)
-		}
-	})
-}
-
-// FuzzBudget targets the version-4 budgeted-frame decoders: the budget
-// field ahead of the request body, the truncation metadata between the
-// response header and its records, and the CRC trailers covering both.
-// A decode that succeeds must yield bounded, non-negative fields; and —
-// like every checksummed frame — any single-bit flip in a valid
-// budgeted frame must be rejected.
-func FuzzBudget(f *testing.F) {
 	subs := []retrieval.SubQuery{{Region: geom.R2(1, 2, 3, 4), WMin: 0.2, WMax: 0.9}}
-	var reqFrame, respFrame bytes.Buffer
-	if err := NewWriter(&reqFrame).WriteBudgetRequest(Request{Speed: 0.5, Subs: subs, MaxBytes: 4096}); err != nil {
+	if err := NewWriter(&req).WriteRequest(Request{Speed: 0.5, Subs: subs, MaxBytes: 4096}); err != nil {
 		f.Fatal(err)
 	}
-	payload := EncodeResponsePayload(nil, []Coeff{{Object: 1, Vertex: 9, Value: 0.5}})
-	if err := NewWriter(&respFrame).WriteBudgetResponsePayload(1, 7, 2, 3, 4096, payload); err != nil {
-		f.Fatal(err)
-	}
-	valid := [2][]byte{reqFrame.Bytes(), respFrame.Bytes()}
-
-	f.Add(uint8(0), reqFrame.Bytes()[1:], 0, uint8(0))
-	f.Add(uint8(0), frameBody(f, func(w *Writer) error {
-		return w.WriteBudgetRequest(Request{Speed: 0.5, Subs: subs}) // unlimited budget
-	}), 1, uint8(7))
-	f.Add(uint8(1), respFrame.Bytes()[1:], 9, uint8(3))
-	f.Add(uint8(1), frameBody(f, func(w *Writer) error {
-		return w.WriteBudgetResponsePayload(0, 0, 1, 12, 4096, nil) // all withheld
-	}), 21, uint8(0))
-	f.Add(uint8(0), []byte{}, 0, uint8(0))
-	f.Add(uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 0, uint8(0))
-
-	f.Fuzz(func(t *testing.T, which uint8, data []byte, pos int, bit uint8) {
-		// Totality and bounds on arbitrary bodies.
-		r := NewReader(bytes.NewReader(data))
-		switch which % 2 {
-		case 0:
-			if req, err := r.ReadBudgetRequest(); err == nil {
-				if req.MaxBytes < 0 {
-					t.Fatalf("negative budget decoded: %d", req.MaxBytes)
-				}
-				if len(req.Subs) > MaxSubQueries {
-					t.Fatalf("oversized request decoded: %d", len(req.Subs))
-				}
+	frames := [][]byte{resp.Bytes(), req.Bytes()}
+	f.Add(1, uint8(0))
+	f.Add(resp.Len()-1, uint8(7))
+	f.Add(3, uint8(5)) // a budget byte of the request
+	f.Fuzz(func(t *testing.T, pos int, bit uint8) {
+		for _, frame := range frames {
+			if pos < 1 || pos >= len(frame) { // tag byte is not checksummed
+				continue
 			}
-		case 1:
-			var resp Response
-			if err := r.ReadBudgetResponseInto(&resp); err == nil {
-				if resp.Dropped < 0 || resp.Budget < 0 {
-					t.Fatalf("negative truncation metadata decoded: %d/%d", resp.Dropped, resp.Budget)
-				}
-				if len(resp.Coeffs) > MaxCoeffs {
-					t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
-				}
+			mut := append([]byte(nil), frame...)
+			mut[pos] ^= 1 << (bit % 8)
+			r := NewReader(bytes.NewReader(mut))
+			tag, err := r.ReadTag()
+			if err != nil {
+				continue
 			}
-		}
-
-		// CRC integrity: a single-bit flip anywhere past the tag of a
-		// valid budgeted frame must not decode.
-		frame := valid[which%2]
-		if pos < 1 || pos >= len(frame) {
-			return
-		}
-		mut := append([]byte(nil), frame...)
-		mut[pos] ^= 1 << (bit % 8)
-		r = NewReader(bytes.NewReader(mut))
-		tag, err := r.ReadTag()
-		if err != nil {
-			return
-		}
-		switch tag {
-		case TagBudgetRequest:
-			if _, err := r.ReadBudgetRequest(); err == nil {
-				t.Fatalf("request bit flip at byte %d bit %d went undetected", pos, bit%8)
-			}
-		case TagBudgetResponse:
-			var resp Response
-			if err := r.ReadBudgetResponseInto(&resp); err == nil {
-				t.Fatalf("response bit flip at byte %d bit %d went undetected", pos, bit%8)
+			switch tag {
+			case TagResponse:
+				if _, err := r.ReadResponse(); err == nil {
+					t.Fatalf("response bit flip at byte %d bit %d went undetected", pos, bit%8)
+				}
+			case TagRequest:
+				if _, err := r.ReadRequest(); err == nil {
+					t.Fatalf("request bit flip at byte %d bit %d went undetected", pos, bit%8)
+				}
 			}
 		}
 	})

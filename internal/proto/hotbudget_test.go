@@ -44,7 +44,7 @@ func startHotServer(t *testing.T) (addr string, d *workload.Dataset, hot *hotcac
 }
 
 // TestBudgetedFrameServedFromHotPayload pins the satellite behaviour:
-// a budgeted (v4) frame whose budget keeps the full coefficient set is
+// a budgeted frame whose budget keeps the full coefficient set is
 // served from the cached hot payload — byte-identical on the wire to
 // the populating encode pass — instead of bypassing the cache the way
 // budgeted frames did before.
@@ -53,21 +53,27 @@ func TestBudgetedFrameServedFromHotPayload(t *testing.T) {
 	defer shutdown()
 	space := d.Store.Bounds().XY()
 	subs := []retrieval.SubQuery{{Region: space, WMin: 0, WMax: 1}}
+	// A positive budget larger than the whole store: the frame takes the
+	// budgeted server branch but the prefix cut keeps every coefficient.
+	budget := int64(d.Store.NumCoeffs()+1) * wavelet.WireBytes
 	send := func(w *Writer) error {
-		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: 0})
+		return w.WriteRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: budget})
 	}
 
 	// Session one pays the encode pass and populates the payload cache.
-	frame1, resp1 := rawExchange(t, addr, send, TagBudgetResponse)
+	frame1, resp1 := rawExchange(t, addr, send)
 	if len(resp1.Coeffs) == 0 || resp1.Dropped != 0 {
 		t.Fatalf("populating frame: %d coeffs, %d dropped", len(resp1.Coeffs), resp1.Dropped)
+	}
+	if resp1.Budget != budget {
+		t.Fatalf("response budget = %d, want %d", resp1.Budget, budget)
 	}
 	if got := hot.Stats().PayloadHits; got != 0 {
 		t.Fatalf("populating frame counted %d payload hits", got)
 	}
 
 	// Session two replays the serialized payload.
-	frame2, resp2 := rawExchange(t, addr, send, TagBudgetResponse)
+	frame2, resp2 := rawExchange(t, addr, send)
 	if !bytes.Equal(frame1, frame2) {
 		t.Fatalf("payload replay is not byte-identical: %d vs %d bytes", len(frame1), len(frame2))
 	}
@@ -96,15 +102,15 @@ func TestBudgetedTruncationBypassesHotPayload(t *testing.T) {
 	// Warm the cache with an unbudgeted pass and learn the universe size.
 	_, full := rawExchange(t, addr, func(w *Writer) error {
 		return w.WriteRequest(Request{Speed: 0.3, Subs: subs})
-	}, TagResponse)
+	})
 	if len(full.Coeffs) < 4 {
 		t.Fatalf("workload too small: %d coeffs", len(full.Coeffs))
 	}
 
 	budget := int64(len(full.Coeffs)/2) * wavelet.WireBytes
 	_, truncated := rawExchange(t, addr, func(w *Writer) error {
-		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: budget})
-	}, TagBudgetResponse)
+		return w.WriteRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: budget})
+	})
 	if truncated.Dropped == 0 {
 		t.Fatal("half-universe budget did not truncate")
 	}

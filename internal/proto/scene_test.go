@@ -4,6 +4,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/geom"
@@ -13,7 +14,7 @@ import (
 
 // startMultiSceneServer serves two scenes ("alpha": 6 objects, "beta":
 // 3 objects) from one listener.
-func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, beta *workload.Dataset, shutdown func()) {
+func startMultiSceneServer(t *testing.T, st *stats.Stats) (srv *Server, addr string, alpha, beta *workload.Dataset, shutdown func()) {
 	t.Helper()
 	alpha = workload.Generate(workload.Spec{NumObjects: 6, Levels: 3, Seed: 21})
 	beta = workload.Generate(workload.Spec{NumObjects: 3, Levels: 3, Seed: 22})
@@ -26,7 +27,7 @@ func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, b
 		Name: "beta", Source: beta.Store, Levels: beta.Spec.Levels, Shards: 2, Stats: st}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewMultiServer(reg, t.Logf)
+	srv = NewMultiServer(reg, t.Logf)
 	srv.SetStats(st)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,15 +40,28 @@ func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, b
 			t.Errorf("serve: %v", err)
 		}
 	}()
-	return lis.Addr().String(), alpha, beta, func() {
+	return srv, lis.Addr().String(), alpha, beta, func() {
 		srv.Close()
 		<-done
 	}
 }
 
+// waitParked blocks until the server has parked a severed session, so a
+// reconnect cannot race the handler that is still noticing the drop.
+func waitParked(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ResumeCacheLen() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never parked in the resume cache")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestSceneRouting(t *testing.T) {
 	st := stats.New()
-	addr, alpha, beta, shutdown := startMultiSceneServer(t, st)
+	_, addr, alpha, beta, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	// No selection: the default (first-registered) scene answers.
@@ -97,7 +111,7 @@ func TestSceneRouting(t *testing.T) {
 
 func TestSceneResumeAfterReconnect(t *testing.T) {
 	st := stats.New()
-	addr, _, beta, shutdown := startMultiSceneServer(t, st)
+	srv, addr, _, beta, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	c, err := DialScene(addr, "beta", nil)
@@ -113,8 +127,10 @@ func TestSceneResumeAfterReconnect(t *testing.T) {
 		t.Fatalf("first frame delivered %d", n)
 	}
 
-	// Abrupt drop (no Bye): the server parks the session in beta's cache.
+	// Abrupt drop (no Bye): the server parks the session in beta's cache
+	// once it notices the dead peer.
 	c.conn.Close()
+	waitParked(t, srv)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +163,7 @@ func TestSceneResumeAfterReconnect(t *testing.T) {
 // resume on another: the caches are per-scene.
 func TestSceneResumeIsolation(t *testing.T) {
 	st := stats.New()
-	addr, _, _, shutdown := startMultiSceneServer(t, st)
+	srv, addr, _, _, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	c, err := DialScene(addr, "alpha", nil)
@@ -159,6 +175,7 @@ func TestSceneResumeIsolation(t *testing.T) {
 	}
 	token := c.token
 	c.conn.Close() // park in alpha's cache
+	waitParked(t, srv)
 
 	// Hand-roll a connection that selects beta, then presents alpha's
 	// token: the resume must miss.
@@ -199,7 +216,7 @@ func TestSceneResumeIsolation(t *testing.T) {
 // rule: a scene select after the first request drops the connection.
 func TestSceneSelectAfterStartRejected(t *testing.T) {
 	st := stats.New()
-	addr, _, _, shutdown := startMultiSceneServer(t, st)
+	_, addr, _, _, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	conn, err := net.Dial("tcp", addr)

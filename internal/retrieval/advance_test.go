@@ -104,7 +104,7 @@ func TestFilterDoesNotPoisonDeliveredSet(t *testing.T) {
 	session := NewSession(srv)
 	all := geom.R2(0, 0, 1000, 1000)
 	// First: a query whose filter rejects everything.
-	none := session.Retrieve([]SubQuery{{
+	none := session.RetrieveScratch([]SubQuery{{
 		Region: all, WMin: 0, WMax: 1,
 		Filter: func(geom.Vec3) bool { return false },
 	}})
@@ -112,7 +112,7 @@ func TestFilterDoesNotPoisonDeliveredSet(t *testing.T) {
 		t.Fatalf("rejecting filter delivered %d", len(none.IDs))
 	}
 	// Then an unfiltered query must deliver the full set.
-	full := session.Retrieve([]SubQuery{{Region: all, WMin: 0, WMax: 1}})
+	full := session.RetrieveScratch([]SubQuery{{Region: all, WMin: 0, WMax: 1}})
 	if int64(len(full.IDs)) != srv.Store().NumCoeffs() {
 		t.Fatalf("delivered %d of %d after filtered query",
 			len(full.IDs), srv.Store().NumCoeffs())

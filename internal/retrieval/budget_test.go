@@ -38,7 +38,7 @@ func TestExecuteBudgetPrefixOfUnlimited(t *testing.T) {
 		q := geom.R2(0, 0, 1000, 1000)
 		subs := ringPlan(q, geom.V2(400, 600))
 
-		full := srv.Execute(subs, make(map[int64]bool))
+		full := srv.Execute(subs, make(map[int64]bool), nil, 0)
 		if len(full.IDs) < 10 {
 			t.Fatalf("seed %d: only %d coefficients; test needs a real workload", seed, len(full.IDs))
 		}
@@ -48,7 +48,7 @@ func TestExecuteBudgetPrefixOfUnlimited(t *testing.T) {
 			if cutCoeffs == 0 {
 				budget = 1 // sub-record budget delivers nothing
 			}
-			got := srv.ExecuteBudget(subs, delivered, budget)
+			got := srv.Execute(subs, delivered, nil, budget)
 			want := full.IDs[:cutCoeffs]
 			if len(got.IDs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got.IDs, want)) {
 				t.Fatalf("seed %d cut %d: budgeted response is not the unbudgeted prefix", seed, cutCoeffs)
@@ -87,11 +87,11 @@ func TestExecuteBudgetDeterministic(t *testing.T) {
 		budget := int64(rng.Intn(200)) * wavelet.WireBytes
 
 		srv.SetParallelism(1)
-		serial := srv.ExecuteBudget(subs, make(map[int64]bool), budget)
+		serial := srv.Execute(subs, make(map[int64]bool), nil, budget)
 		srv.SetParallelism(8)
-		parallel := srv.ExecuteBudget(subs, make(map[int64]bool), budget)
+		parallel := srv.Execute(subs, make(map[int64]bool), nil, budget)
 		var sc Scratch
-		scratch := srv.ExecuteBudgetScratch(subs, make(map[int64]bool), &sc, budget)
+		scratch := srv.Execute(subs, make(map[int64]bool), &sc, budget)
 
 		if !reflect.DeepEqual(serial.IDs, parallel.IDs) || serial.Dropped != parallel.Dropped {
 			t.Fatalf("trial %d: parallel budgeted execution diverged from serial", trial)
@@ -116,13 +116,13 @@ func TestExecuteBudgetFollowsPriorityOrder(t *testing.T) {
 	delivered := make(map[int64]bool)
 	total := 0
 	for i, s := range subs {
-		r := srv.Execute([]SubQuery{s}, delivered)
+		r := srv.Execute([]SubQuery{s}, delivered, nil, 0)
 		fullPer[i] = len(r.IDs)
 		total += len(r.IDs)
 	}
 
 	budgetCoeffs := total / 4
-	resp := srv.ExecuteBudget(subs, make(map[int64]bool), int64(budgetCoeffs)*wavelet.WireBytes)
+	resp := srv.Execute(subs, make(map[int64]bool), nil, int64(budgetCoeffs)*wavelet.WireBytes)
 	if len(resp.IDs) != budgetCoeffs {
 		t.Fatalf("tight budget delivered %d of %d budgeted coefficients", len(resp.IDs), budgetCoeffs)
 	}
@@ -153,13 +153,13 @@ func TestExecuteBudgetFollowsPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestExecuteBudgetUnlimitedMatchesExecute: maxBytes <= 0 is exactly
-// Execute, Hot validity included.
+// TestExecuteBudgetUnlimitedMatchesExecute: a negative maxBytes is
+// exactly the unlimited 0, Hot validity included.
 func TestExecuteBudgetUnlimitedMatchesExecute(t *testing.T) {
 	srv := testServer(t, 5, 4)
 	sub := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0.2, WMax: 1}}
-	a := srv.Execute(sub, nil)
-	b := srv.ExecuteBudget(sub, nil, 0)
+	a := srv.Execute(sub, nil, nil, 0)
+	b := srv.Execute(sub, nil, nil, -1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("unlimited budget diverged from Execute:\n%+v\n%+v", a, b)
 	}
@@ -170,11 +170,11 @@ func TestExecuteBudgetUnlimitedMatchesExecute(t *testing.T) {
 func TestExecuteBudgetInvalidatesHotRef(t *testing.T) {
 	srv := testServer(t, 5, 5)
 	sub := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	full := srv.Execute(sub, nil)
+	full := srv.Execute(sub, nil, nil, 0)
 	if len(full.IDs) < 2 {
 		t.Fatalf("workload too small")
 	}
-	got := srv.ExecuteBudget(sub, nil, int64(len(full.IDs)/2)*wavelet.WireBytes)
+	got := srv.Execute(sub, nil, nil, int64(len(full.IDs)/2)*wavelet.WireBytes)
 	if got.Hot.Valid {
 		t.Fatalf("truncated response carries a valid HotRef")
 	}
@@ -187,9 +187,9 @@ func TestBudgetStatsReconcile(t *testing.T) {
 	st := stats.New()
 	srv.SetStats(st)
 	sub := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	full := srv.ExecuteBudget(sub, nil, 1<<40)
+	full := srv.Execute(sub, nil, nil, 1<<40)
 	budget := int64(len(full.IDs)/2) * wavelet.WireBytes
-	resp := srv.ExecuteBudget(sub, nil, budget)
+	resp := srv.Execute(sub, nil, nil, budget)
 
 	snap := st.Snapshot()
 	if snap.BudgetRequests != 2 {

@@ -34,8 +34,8 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	}
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 
-	r1 := srv.Execute([]SubQuery{sub}, nil)
-	r2 := srv.Execute([]SubQuery{sub}, nil)
+	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
+	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r1, r2) {
 		t.Fatal("adopted response differs from the leader's")
 	}
@@ -50,7 +50,7 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	mut := srv.Index().(index.Mutable)
 	mut.Delete(0)
 	mut.Insert(0)
-	r3 := srv.Execute([]SubQuery{sub}, nil)
+	r3 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r1, r3) {
 		t.Fatal("post-bump response differs (content unchanged: delete+reinsert of the same id)")
 	}
@@ -59,7 +59,7 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	if cs.BypassStale != 1 {
 		t.Fatalf("expected exactly 1 stale bypass after the epoch bump, got %+v", cs)
 	}
-	r4 := srv.Execute([]SubQuery{sub}, nil)
+	r4 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r1, r4) {
 		t.Fatal("fresh-flight response differs")
 	}
@@ -83,15 +83,15 @@ func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	b := a
 	b.WMin = 0.21 // same 0.25-band bucket, different exact query
 
-	ra := srv.Execute([]SubQuery{a}, nil)
-	rb := srv.Execute([]SubQuery{b}, nil)
+	ra := srv.Execute([]SubQuery{a}, nil, nil, 0)
+	rb := srv.Execute([]SubQuery{b}, nil, nil, 0)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
 	if cs.Led != 2 || cs.BypassCollision != 0 {
 		t.Fatalf("expected the moved query to replace the stale flight and lead, got %+v", cs)
 	}
 	// The replacement flight is adoptable in turn.
-	rb2 := srv.Execute([]SubQuery{b}, nil)
+	rb2 := srv.Execute([]SubQuery{b}, nil, nil, 0)
 	if !respEqual(rb, rb2) {
 		t.Fatal("adoption from the replacement flight diverged")
 	}
@@ -100,10 +100,10 @@ func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	}
 	// Each led pass must match uncoalesced execution exactly.
 	plain := testShardedServer(t, 8, 43, 4)
-	if wa := plain.Execute([]SubQuery{a}, nil); !respEqual(ra, wa) {
+	if wa := plain.Execute([]SubQuery{a}, nil, nil, 0); !respEqual(ra, wa) {
 		t.Fatal("query a diverged from uncoalesced execution")
 	}
-	if wb := plain.Execute([]SubQuery{b}, nil); !respEqual(rb, wb) {
+	if wb := plain.Execute([]SubQuery{b}, nil, nil, 0); !respEqual(rb, wb) {
 		t.Fatal("query b diverged from uncoalesced execution")
 	}
 }
@@ -159,10 +159,10 @@ func TestCoalescerInFlightCollision(t *testing.T) {
 
 	block, entered := gated.arm()
 	lead := make(chan Response, 1)
-	go func() { lead <- srv.Execute([]SubQuery{a}, nil) }()
+	go func() { lead <- srv.Execute([]SubQuery{a}, nil, nil, 0) }()
 	<-entered // the leader is now mid-search, flight in place
 
-	rb := srv.Execute([]SubQuery{b}, nil)
+	rb := srv.Execute([]SubQuery{b}, nil, nil, 0)
 	close(block)
 	ra := <-lead
 
@@ -172,10 +172,10 @@ func TestCoalescerInFlightCollision(t *testing.T) {
 		t.Fatalf("expected 1 led + 1 in-flight collision bypass, got %+v", cs)
 	}
 	plain := testShardedServer(t, 8, 43, 4)
-	if wa := plain.Execute([]SubQuery{a}, nil); !respEqual(ra, wa) {
+	if wa := plain.Execute([]SubQuery{a}, nil, nil, 0); !respEqual(ra, wa) {
 		t.Fatal("query a diverged from uncoalesced execution")
 	}
-	if wb := plain.Execute([]SubQuery{b}, nil); !respEqual(rb, wb) {
+	if wb := plain.Execute([]SubQuery{b}, nil, nil, 0); !respEqual(rb, wb) {
 		t.Fatal("query b diverged from uncoalesced execution")
 	}
 }
@@ -187,12 +187,12 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	srv.Coalescer().Flush()
 	if f := srv.Coalescer().Stats().Flights; f != 0 {
 		t.Fatalf("%d flights survive Flush", f)
 	}
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
 	if cs.Led != 2 || cs.Shared != 0 {
@@ -207,9 +207,9 @@ func TestCoalescerWindowExpiry(t *testing.T) {
 	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Millisecond}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	time.Sleep(5 * time.Millisecond)
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
 	if cs.Led != 2 || cs.Shared != 0 {
@@ -227,11 +227,11 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	r1 := srv.Execute([]SubQuery{sub}, nil)
+	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r1.Hot.Valid {
 		t.Fatal("coalesced stable response not marked hot")
 	}
-	r2 := srv.Execute([]SubQuery{sub}, nil)
+	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r1, r2) || !r2.Hot.Valid || r2.Hot != r1.Hot {
 		t.Fatal("hot-cache replay of a coalesced result diverged")
 	}
@@ -297,7 +297,7 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 			bump(oracle.Index())
 		}
 		for c := 0; c < clients; c++ {
-			want[c][s] = oracleSess[c].Retrieve(streams[c][s])
+			want[c][s] = oracle.Execute(streams[c][s], oracleSess[c].delivered, nil, 0)
 		}
 	}
 
@@ -354,16 +354,16 @@ func TestCoalescerFollowerCopiesFlightIDs(t *testing.T) {
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	var sc Scratch
-	lead := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
+	lead := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
 	leadIDs := slices.Clone(lead.IDs)
-	adopted := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
+	adopted := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
 	if !slices.Equal(adopted.IDs, leadIDs) {
 		t.Fatal("adopted ids differ from the flight's")
 	}
 	// Overwrite the scratch with an unrelated query, then adopt again:
 	// the flight must still hold the original ids.
-	srv.ExecuteScratch([]SubQuery{{Region: geom.R2(0, 0, 50, 50), WMin: 0.9, WMax: 1}}, nil, &sc)
-	again := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
+	srv.Execute([]SubQuery{{Region: geom.R2(0, 0, 50, 50), WMin: 0.9, WMax: 1}}, nil, &sc, 0)
+	again := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
 	if !slices.Equal(again.IDs, leadIDs) {
 		t.Fatal("flight ids were corrupted by an interleaved scratch frame")
 	}

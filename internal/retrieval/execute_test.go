@@ -22,7 +22,7 @@ func TestExecuteNilDeliveredAllowsDuplicates(t *testing.T) {
 	}
 	total := int(srv.Store().NumCoeffs())
 
-	raw := srv.Execute(subs, nil)
+	raw := srv.Execute(subs, nil, nil, 0)
 	if len(raw.IDs) != 2*total {
 		t.Fatalf("nil delivered: %d ids, want %d (every id twice)", len(raw.IDs), 2*total)
 	}
@@ -30,7 +30,7 @@ func TestExecuteNilDeliveredAllowsDuplicates(t *testing.T) {
 		t.Fatalf("executed %d sub-queries", raw.Queries)
 	}
 
-	filtered := srv.Execute(subs, make(map[int64]bool))
+	filtered := srv.Execute(subs, make(map[int64]bool), nil, 0)
 	if len(filtered.IDs) != total {
 		t.Fatalf("deduplicated: %d ids, want %d", len(filtered.IDs), total)
 	}
@@ -56,7 +56,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 
 	rejectAll := srv.Execute([]SubQuery{
 		{Region: all, WMin: 0, WMax: 1, Filter: func(geom.Vec3) bool { return false }},
-	}, delivered)
+	}, delivered, nil, 0)
 	if len(rejectAll.IDs) != 0 {
 		t.Fatalf("reject-all filter delivered %d ids", len(rejectAll.IDs))
 	}
@@ -67,7 +67,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	// A half-space filter: the delivered set must hold exactly the accepted
 	// side, and the follow-up unfiltered query must deliver the rest.
 	west := func(p geom.Vec3) bool { return p.X < 500 }
-	first := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1, Filter: west}}, delivered)
+	first := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1, Filter: west}}, delivered, nil, 0)
 	for _, id := range first.IDs {
 		if !west(index.MustCoeff(srv.Store(), id).Pos) {
 			t.Fatalf("filter leaked id %d east of the boundary", id)
@@ -76,7 +76,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	if len(delivered) != len(first.IDs) {
 		t.Fatalf("delivered set has %d ids, response had %d", len(delivered), len(first.IDs))
 	}
-	second := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, delivered)
+	second := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, delivered, nil, 0)
 	if len(first.IDs)+len(second.IDs) != total {
 		t.Fatalf("split deliveries %d + %d, want %d", len(first.IDs), len(second.IDs), total)
 	}
@@ -124,8 +124,8 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 	dSerial := make(map[int64]bool)
 	dParallel := make(map[int64]bool)
 	for bi, subs := range batches {
-		want := serial.Execute(subs, dSerial)
-		got := parallel.Execute(subs, dParallel)
+		want := serial.Execute(subs, dSerial, nil, 0)
+		got := parallel.Execute(subs, dParallel, nil, 0)
 		if len(got.IDs) != len(want.IDs) {
 			t.Fatalf("batch %d: parallel delivered %d ids, serial %d", bi, len(got.IDs), len(want.IDs))
 		}
@@ -151,7 +151,7 @@ func TestExecuteRecordsStats(t *testing.T) {
 	resp := srv.Execute([]SubQuery{
 		{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1},
 		{Region: geom.Rect2{Min: geom.V2(1, 1), Max: geom.V2(0, 0)}, WMin: 0, WMax: 1},
-	}, nil)
+	}, nil, nil, 0)
 	snap := st.Snapshot()
 	if snap.Requests != 1 {
 		t.Fatalf("requests = %d", snap.Requests)

@@ -41,7 +41,7 @@ type Response struct {
 	IO      int64   // index node reads spent answering the sub-queries
 	Queries int     // number of sub-queries executed
 	// Dropped counts coefficients withheld from this response: by a
-	// byte budget (see ExecuteBudget — exactly the deliveries the
+	// byte budget (see Execute — exactly the deliveries the
 	// unlimited run would have made beyond the budget's prefix cut) or
 	// by a storage fault (the filter pass could not read the backing
 	// page — see index.ErrPageUnavailable). Always 0 for unbudgeted,
@@ -217,41 +217,6 @@ func (s *Server) Store() index.CoefficientSource { return s.store }
 // Index returns the access method in use.
 func (s *Server) Index() index.Index { return s.idx }
 
-// Execute runs the sub-queries, filtering results against the client's
-// delivered set (nil = no filtering) and recording new deliveries into it.
-// This is the server side of Fig. 3: overlapping sub-queries and support
-// regions straddling the old frame produce duplicates, and the filter
-// ensures each coefficient crosses the link once per client.
-//
-// The index searches of one request run on a bounded worker pool (see
-// SetParallelism); the merge into the delivered set always happens on
-// the calling goroutine in sub-query order, so the response — ids,
-// order, bytes, I/O — is byte-identical to serial execution. The
-// delivered map is the caller's: Execute must not be called concurrently
-// with the same map (one session = one client = one request at a time).
-func (s *Server) Execute(subs []SubQuery, delivered map[int64]bool) Response {
-	return s.execute(subs, delivered, nil, 0)
-}
-
-// ExecuteBudget is Execute under a byte budget: at most
-// maxBytes/wavelet.WireBytes coefficients are delivered, cut as a
-// prefix of the deterministic merge order (sub-query order, index
-// order within each sub-query). Because the merge order is the
-// planner's priority order, truncation degrades gracefully: the
-// highest-utility sub-queries keep their coefficients and the tail is
-// withheld. Withheld coefficients are counted in Response.Dropped and
-// are NOT marked delivered, so they remain retrievable by later
-// frames. maxBytes <= 0 means unlimited — identical to Execute in
-// every field.
-//
-// Determinism: same sub-queries + same delivered set + same budget ⇒
-// the same response (ids, order, bytes, Dropped), independent of the
-// worker-pool parallelism — the property the wire protocol's budgeted
-// frames are built on.
-func (s *Server) ExecuteBudget(subs []SubQuery, delivered map[int64]bool, maxBytes int64) Response {
-	return s.execute(subs, delivered, nil, maxBytes)
-}
-
 // Scratch is reusable per-caller execution state: the per-sub-query
 // result slabs, the index search cursors (one serial, plus one per
 // fan-out worker), and the response id buffer. A zero Scratch is ready
@@ -269,39 +234,48 @@ type Scratch struct {
 	pins *index.Pins
 }
 
-// ExecuteScratch is Execute running on caller-owned scratch: the
-// returned Response's IDs slice aliases sc's buffer and is valid only
-// until the next ExecuteScratch with the same Scratch. Results are
-// identical to Execute in every field. A nil sc degrades to Execute.
-func (s *Server) ExecuteScratch(subs []SubQuery, delivered map[int64]bool, sc *Scratch) Response {
-	return s.execute(subs, delivered, sc, 0)
-}
-
-// ExecuteBudgetScratch is ExecuteBudget on caller-owned scratch (see
-// ExecuteScratch for the aliasing contract).
-func (s *Server) ExecuteBudgetScratch(subs []SubQuery, delivered map[int64]bool, sc *Scratch, maxBytes int64) Response {
-	return s.execute(subs, delivered, sc, maxBytes)
-}
-
-func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch, maxBytes int64) Response {
+// Execute is the paper's Retrieve: it runs the sub-queries, filtering
+// results against the client's delivered set (nil = no filtering) and
+// recording new deliveries into it. This is the server side of Fig. 3:
+// overlapping sub-queries and support regions straddling the old frame
+// produce duplicates, and the filter ensures each coefficient crosses the
+// link once per client.
+//
+// sc is the caller's reusable execution state: the returned Response's
+// IDs slice aliases sc's buffer and is valid only until the next Execute
+// with the same Scratch. A nil sc runs on a Scratch local to the call, so
+// the result is safe to retain.
+//
+// maxBytes is a byte budget: at most maxBytes/wavelet.WireBytes
+// coefficients are delivered, cut as a prefix of the deterministic merge
+// order (sub-query order, index order within each sub-query). Because the
+// merge order is the planner's priority order, truncation degrades
+// gracefully: the highest-utility sub-queries keep their coefficients and
+// the tail is withheld. Withheld coefficients are counted in
+// Response.Dropped and are NOT marked delivered, so they remain
+// retrievable by later frames. maxBytes <= 0 means unlimited.
+//
+// The index searches of one request run on a bounded worker pool (see
+// SetParallelism); the merge into the delivered set always happens on
+// the calling goroutine in sub-query order, so the response — ids,
+// order, bytes, I/O, Dropped — is byte-identical to serial execution.
+// The delivered map is the caller's: Execute must not be called
+// concurrently with the same map (one session = one client = one
+// request at a time).
+func (s *Server) Execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch, maxBytes int64) Response {
 	var start time.Time
 	if s.st != nil {
 		start = time.Now()
 	}
-	var results []subResult
-	if sc != nil {
-		for len(sc.results) < len(subs) {
-			sc.results = append(sc.results, subResult{})
-		}
-		results = sc.results[:len(subs)]
-	} else {
-		results = make([]subResult, len(subs))
+	if sc == nil {
+		sc = new(Scratch)
 	}
+	for len(sc.results) < len(subs) {
+		sc.results = append(sc.results, subResult{})
+	}
+	results := sc.results[:len(subs)]
 	s.searchAll(subs, results, sc)
-	var resp Response
-	if sc != nil {
-		resp.IDs = sc.ids[:0]
-	}
+	resp := Response{IDs: sc.ids[:0]}
 	// dropped records whether the merge suppressed any raw hit (filter,
 	// already-delivered, or budget): only a drop-free single-sub response
 	// equals its cache entry's id set and may carry a HotRef.
@@ -331,14 +305,10 @@ func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch,
 	if s.pinner != nil {
 		for i := range subs {
 			if subs[i].Filter != nil {
-				if sc != nil {
-					if sc.pins == nil {
-						sc.pins = s.pinner.NewPins()
-					}
-					pins = sc.pins
-				} else {
-					pins = s.pinner.NewPins()
+				if sc.pins == nil {
+					sc.pins = s.pinner.NewPins()
 				}
+				pins = sc.pins
 				break
 			}
 		}
@@ -408,9 +378,7 @@ func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch,
 	if pins != nil {
 		pins.Release()
 	}
-	if sc != nil {
-		sc.ids = resp.IDs
-	}
+	sc.ids = resp.IDs
 	if len(subs) == 1 && results[0].hot && !dropped {
 		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
 	}
@@ -449,8 +417,8 @@ func (s *Server) coeffPos(pins *index.Pins, id int64) (geom.Vec3, error) {
 	return c.Pos, nil
 }
 
-// subResult holds one sub-query's raw index hits, pre-merge. In scratch
-// mode the ids slab is retained and reused across requests.
+// subResult holds one sub-query's raw index hits, pre-merge. The ids slab
+// is retained in the Scratch and reused across requests.
 type subResult struct {
 	ids []int64
 	io  int64
@@ -477,13 +445,9 @@ func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) {
 		valid++
 	}
 	if valid <= 1 || s.workers <= 1 {
-		var cur *index.Cursor
-		if sc != nil {
-			cur = &sc.cur
-		}
 		for i := range results {
 			if results[i].ran {
-				s.searchOne(&subs[i], &results[i], cur)
+				s.searchOne(&subs[i], &results[i], &sc.cur)
 			}
 		}
 		return
@@ -501,18 +465,12 @@ func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) {
 // worker pool, each worker draining indices off a shared atomic counter
 // with its own scratch cursor.
 func (s *Server) searchParallel(subs []SubQuery, results []subResult, sc *Scratch, workers int) {
-	if sc != nil {
-		for len(sc.curs) < workers {
-			sc.curs = append(sc.curs, index.Cursor{})
-		}
+	for len(sc.curs) < workers {
+		sc.curs = append(sc.curs, index.Cursor{})
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		var cur *index.Cursor
-		if sc != nil {
-			cur = &sc.curs[w]
-		}
 		wg.Add(1)
 		go func(cur *index.Cursor) {
 			defer wg.Done()
@@ -525,7 +483,7 @@ func (s *Server) searchParallel(subs []SubQuery, results []subResult, sc *Scratc
 					s.searchOne(&subs[i], &results[i], cur)
 				}
 			}
-		}(cur)
+		}(&sc.curs[w])
 	}
 	wg.Wait()
 }
@@ -542,16 +500,10 @@ func (s *Server) queryOf(sub *SubQuery) index.Query {
 // wired (Get, else search-and-Put under the seqlock epoch protocol),
 // through the coalescer when one is wired (sharing one index pass among
 // concurrent identical searches), directly against the index otherwise.
-// out.ids is reused as the result buffer when present.
+// out.ids is reused as the result buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
 	q := s.queryOf(sub)
 	if s.hot == nil && s.co == nil {
-		if cur == nil {
-			// Fresh-allocation path (Execute): hand the index's own result
-			// slice through instead of copying it.
-			out.ids, out.io = s.idx.Search(q)
-			return
-		}
 		out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
 		return
 	}
@@ -589,10 +541,8 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
 // runSearch performs the raw index search, appending into buf via the
 // cursor path when the index supports it.
 func (s *Server) runSearch(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
-	if cur != nil {
-		if is, ok := s.idx.(index.IntoSearcher); ok {
-			return is.SearchInto(q, buf, cur)
-		}
+	if is, ok := s.idx.(index.IntoSearcher); ok {
+		return is.SearchInto(q, buf, cur)
 	}
 	ids, io := s.idx.Search(q)
 	return append(buf, ids...), io
@@ -602,7 +552,7 @@ func (s *Server) runSearch(q index.Query, buf []int64, cur *index.Cursor) ([]int
 // query at the given resolution, without per-client filtering. The buffer
 // manager uses it to size and fetch blocks.
 func (s *Server) RegionBytes(region geom.Rect2, wmin float64) (int64, int64) {
-	resp := s.Execute([]SubQuery{{Region: region, WMin: wmin, WMax: 1}}, nil)
+	resp := s.Execute([]SubQuery{{Region: region, WMin: wmin, WMax: 1}}, nil, nil, 0)
 	return resp.Bytes, resp.IO
 }
 
@@ -646,7 +596,7 @@ func (s *Server) BlockBytes(region geom.Rect2, wmin float64) (int64, int64) {
 type Session struct {
 	srv       *Server
 	delivered map[int64]bool
-	// scratch backs RetrieveScratch: per-session search cursors and
+	// scratch backs RetrieveBudget: per-session search cursors and
 	// result buffers reused across frames. Single ownership comes free
 	// with the session's one-request-at-a-time contract.
 	scratch Scratch
@@ -657,27 +607,19 @@ func NewSession(srv *Server) *Session {
 	return &Session{srv: srv, delivered: make(map[int64]bool)}
 }
 
-// Retrieve executes the sub-queries with duplicate filtering. The
-// response is freshly allocated and safe to retain.
-func (s *Session) Retrieve(subs []SubQuery) Response {
-	return s.srv.Execute(subs, s.delivered)
-}
-
-// RetrieveScratch is Retrieve on the session's reusable scratch: the
-// response's IDs slice is valid only until this session's next
-// RetrieveScratch. The steady-state wire server uses it — a serving
+// RetrieveBudget executes the sub-queries with duplicate filtering under
+// a byte budget (0 = unlimited; see Execute for the truncation contract)
+// on the session's scratch: the response's IDs slice is valid only until
+// this session's next retrieval. The wire server uses it — a serving
 // goroutine consumes each response (encodes it onto the connection)
 // before the next request arrives, so nothing outlives the window.
-func (s *Session) RetrieveScratch(subs []SubQuery) Response {
-	return s.srv.ExecuteScratch(subs, s.delivered, &s.scratch)
+func (s *Session) RetrieveBudget(subs []SubQuery, maxBytes int64) Response {
+	return s.srv.Execute(subs, s.delivered, &s.scratch, maxBytes)
 }
 
-// RetrieveBudget executes the sub-queries under a byte budget on the
-// session's scratch (see ExecuteBudget for the truncation contract and
-// RetrieveScratch for the IDs aliasing window). The wire server's
-// budgeted-request path uses it.
-func (s *Session) RetrieveBudget(subs []SubQuery, maxBytes int64) Response {
-	return s.srv.ExecuteBudgetScratch(subs, s.delivered, &s.scratch, maxBytes)
+// RetrieveScratch is RetrieveBudget with no budget.
+func (s *Session) RetrieveScratch(subs []SubQuery) Response {
+	return s.RetrieveBudget(subs, 0)
 }
 
 // Delivered returns the number of coefficients this client holds.
@@ -754,7 +696,7 @@ func (c *Client) Session() *Session { return c.session }
 func (c *Client) Frame(q geom.Rect2, speed float64) (Response, float64) {
 	w := c.mapSpeed(speed)
 	subs := c.PlanFrame(q, speed)
-	resp := c.session.Retrieve(subs)
+	resp := c.session.srv.Execute(subs, c.session.delivered, nil, 0)
 	c.havePrev = true
 	c.prev = q
 	c.prevW = w
@@ -813,7 +755,7 @@ func (c *Client) FrustumFrame(f geom.Frustum, speed float64) (Response, float64)
 		WMax:   1,
 		Filter: func(p geom.Vec3) bool { return f.Contains(p.XY()) },
 	}
-	resp := c.session.Retrieve([]SubQuery{sub})
+	resp := c.session.srv.Execute([]SubQuery{sub}, c.session.delivered, nil, 0)
 	// The rectangular-frame history is invalidated: what was "covered" was
 	// a sector, not the rectangle.
 	c.havePrev = false

@@ -172,7 +172,7 @@ func TestIncrementalEqualsOneShot(t *testing.T) {
 	// Reference: fresh session, one-shot query per frame, union.
 	ref := NewSession(srv)
 	for _, f := range frames {
-		ref.Retrieve([]SubQuery{{Region: f.q, WMin: Identity(f.s), WMax: 1}})
+		ref.RetrieveScratch([]SubQuery{{Region: f.q, WMin: Identity(f.s), WMax: 1}})
 	}
 	if total != ref.Delivered() {
 		t.Fatalf("incremental delivered %d, one-shot union %d", total, ref.Delivered())
@@ -232,7 +232,7 @@ func TestExecuteSkipsDegenerateSubQueries(t *testing.T) {
 	resp := srv.Execute([]SubQuery{
 		{Region: geom.Rect2{Min: geom.V2(1, 1), Max: geom.V2(0, 0)}, WMin: 0, WMax: 1},
 		{Region: geom.R2(0, 0, 10, 10), WMin: 0.9, WMax: 0.1},
-	}, nil)
+	}, nil, nil, 0)
 	if resp.Queries != 0 || len(resp.IDs) != 0 {
 		t.Fatalf("degenerate sub-queries executed: %+v", resp)
 	}

@@ -53,8 +53,8 @@ func randSubs(rng *rand.Rand) []SubQuery {
 }
 
 // TestExecuteScratchMatchesExecute is the oracle property: for identical
-// request streams against identical delivered sets, the scratch path
-// returns field-identical responses to the fresh-allocation path —
+// request streams against identical delivered sets, Execute on a reused
+// Scratch returns field-identical responses to Execute with a nil one —
 // with and without the hot cache, across index mutations.
 func TestExecuteScratchMatchesExecute(t *testing.T) {
 	for _, withCache := range []bool{false, true} {
@@ -100,8 +100,8 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					subs = pool[rng.Intn(len(pool))]
 				}
-				got := srv.ExecuteScratch(subs, dA, &sc)
-				want := oracle.Execute(subs, dB)
+				got := srv.Execute(subs, dA, &sc, 0)
+				want := oracle.Execute(subs, dB, nil, 0)
 				if !respEqual(got, want) {
 					t.Fatalf("cache=%v step %d: scratch response %d ids io %d != oracle %d ids io %d",
 						withCache, step, len(got.IDs), got.IO, len(want.IDs), want.IO)
@@ -116,17 +116,17 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestExecuteRemainsFresh pins the retention contract split: Execute
-// results survive later calls unchanged; ExecuteScratch results are
-// explicitly invalidated by the next call on the same scratch.
+// TestExecuteRemainsFresh pins the retention contract split: results of
+// Execute with a nil Scratch survive later calls unchanged; results on a
+// caller's Scratch are explicitly invalidated by the next call on it.
 func TestExecuteRemainsFresh(t *testing.T) {
 	srv := testShardedServer(t, 6, 9, 4)
 	all := geom.R2(0, 0, 1000, 1000)
 	subs := []SubQuery{{Region: all, WMin: 0, WMax: 1}}
-	first := srv.Execute(subs, nil)
+	first := srv.Execute(subs, nil, nil, 0)
 	snapshot := slices.Clone(first.IDs)
 	for i := 0; i < 5; i++ {
-		srv.Execute([]SubQuery{{Region: geom.R2(0, 0, 400, 400), WMin: 0, WMax: 1}}, nil)
+		srv.Execute([]SubQuery{{Region: geom.R2(0, 0, 400, 400), WMin: 0, WMax: 1}}, nil, nil, 0)
 	}
 	if !slices.Equal(first.IDs, snapshot) {
 		t.Fatal("Execute result mutated by later Execute calls")
@@ -134,8 +134,8 @@ func TestExecuteRemainsFresh(t *testing.T) {
 }
 
 // TestSessionRetrieveScratchMatchesRetrieve runs the same frame stream
-// through a scratch session and a fresh-alloc session; every response
-// must agree.
+// through a scratch session and through nil-Scratch Execute calls on an
+// equal delivered set; every response must agree.
 func TestSessionRetrieveScratchMatchesRetrieve(t *testing.T) {
 	srv := testShardedServer(t, 8, 17, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
@@ -144,7 +144,7 @@ func TestSessionRetrieveScratchMatchesRetrieve(t *testing.T) {
 	for step := 0; step < 100; step++ {
 		subs := randSubs(rng)
 		got := a.RetrieveScratch(subs)
-		want := b.Retrieve(subs)
+		want := srv.Execute(subs, b.delivered, nil, 0)
 		if !respEqual(got, want) {
 			t.Fatalf("step %d: scratch session diverged (%d ids vs %d)", step, len(got.IDs), len(want.IDs))
 		}
@@ -164,11 +164,11 @@ func TestHotRefSemantics(t *testing.T) {
 	all := geom.R2(0, 0, 1000, 1000)
 	sub := SubQuery{Region: all, WMin: 0, WMax: 1}
 
-	r1 := srv.Execute([]SubQuery{sub}, nil)
+	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r1.Hot.Valid {
 		t.Fatal("drop-free single-sub response not marked hot")
 	}
-	r2 := srv.Execute([]SubQuery{sub}, nil)
+	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r2.Hot.Valid || r2.Hot != r1.Hot {
 		t.Fatalf("replayed response HotRef differs: %+v vs %+v", r2.Hot, r1.Hot)
 	}
@@ -177,26 +177,26 @@ func TestHotRefSemantics(t *testing.T) {
 	}
 
 	// Two subs: never hot (response concatenates entries).
-	if r := srv.Execute([]SubQuery{sub, sub}, nil); r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub, sub}, nil, nil, 0); r.Hot.Valid {
 		t.Fatal("multi-sub response marked hot")
 	}
 	// Filter suppression: never hot.
 	if r := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1,
-		Filter: func(geom.Vec3) bool { return false }}}, nil); r.Hot.Valid {
+		Filter: func(geom.Vec3) bool { return false }}}, nil, nil, 0); r.Hot.Valid {
 		t.Fatal("filtered response marked hot")
 	}
 	// Delivered-set suppression: first pass hot, replay with drops is not.
 	delivered := map[int64]bool{}
-	if r := srv.Execute([]SubQuery{sub}, delivered); !r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, delivered, nil, 0); !r.Hot.Valid {
 		t.Fatal("first delivered-set pass not hot")
 	}
-	if r := srv.Execute([]SubQuery{sub}, delivered); r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, delivered, nil, 0); r.Hot.Valid {
 		t.Fatal("fully-suppressed replay marked hot")
 	}
 	// Mutation moves the epoch: the next response carries the new one.
 	srv.Index().(index.Mutable).Delete(0)
 	srv.Index().(index.Mutable).Insert(0)
-	r3 := srv.Execute([]SubQuery{sub}, nil)
+	r3 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r3.Hot.Valid || r3.Hot.Epoch == r1.Hot.Epoch {
 		t.Fatalf("post-mutation HotRef = %+v, want new epoch vs %d", r3.Hot, r1.Hot.Epoch)
 	}
@@ -211,12 +211,12 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	subs := []SubQuery{{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}}
 	var sc Scratch
-	srv.ExecuteScratch(subs, nil, &sc) // warm scratch + populate cache
+	srv.Execute(subs, nil, &sc, 0) // warm scratch + populate cache
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.ExecuteScratch(subs, nil, &sc)
+		srv.Execute(subs, nil, &sc, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state cached ExecuteScratch allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state cached Execute on a Scratch allocates %.1f times per run, want 0", allocs)
 	}
 
 	// Uncached (cache disabled) serial path: still zero — the cursor and
@@ -224,11 +224,11 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 	srv2 := testShardedServer(t, 8, 29, 4)
 	srv2.SetParallelism(1)
 	var sc2 Scratch
-	srv2.ExecuteScratch(subs, nil, &sc2)
+	srv2.Execute(subs, nil, &sc2, 0)
 	allocs = testing.AllocsPerRun(100, func() {
-		srv2.ExecuteScratch(subs, nil, &sc2)
+		srv2.Execute(subs, nil, &sc2, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state uncached ExecuteScratch allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state uncached Execute on a Scratch allocates %.1f times per run, want 0", allocs)
 	}
 }
