@@ -117,25 +117,29 @@ diskfault:
 	$(GO) test -race -run 'TestPagedCoeffUnavailable|TestPagedPinIDsRollsBack|TestPinnerFailure' ./internal/index/ ./internal/hotcache/
 
 # The crowd-serving gate, verbosely, under the race detector: the crowd
-# acceptance soak (coalesced serving byte-identical to independent
-# execution for every session across a forced mid-soak epoch bump, with
-# coalescer/subscription/stats counters reconciled exactly), the
-# coalescer unit tests, the hot-cache subscription tests, the budgeted
-# payload-replay tests, the background-scrub ticker tests, and the crowd
-# generator determinism tests.
+# acceptance soak (hot cache plus in-flight coalescer byte-identical to
+# independent execution for every session across a forced mid-soak
+# epoch bump, with coalescer/hot-cache/stats counters reconciled
+# exactly), the coalescer tests 20 times each under GOMAXPROCS=1 and
+# GOMAXPROCS=4 (so an adoption test that depends on scheduling fails on
+# any host), the payload-hit counter, the budgeted payload-replay tests,
+# the background-scrub ticker tests, and the crowd generator determinism
+# tests.
 crowd:
 	$(GO) test -race -v -run 'TestRunCrowd' ./internal/experiment/
-	$(GO) test -race -run 'TestCoalesc' ./internal/retrieval/
-	$(GO) test -race -run 'TestSubscribe|TestPayloadHitCounter' ./internal/hotcache/
+	for p in 1 4; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=20 -run 'TestCoalesc' ./internal/retrieval/ || exit 1; \
+	done
+	$(GO) test -race -run 'TestPayloadHitCounter' ./internal/hotcache/
 	$(GO) test -race -run 'TestBudgetedFrame|TestBudgetedTruncation' ./internal/proto/
 	$(GO) test -race -run 'TestScrubber' ./internal/engine/
 	$(GO) test -race -run 'TestCrowd' ./internal/workload/
 
 # Crowd-scaling sweep: 10^2-10^4 simulated clients at overlap factors 0,
-# 0.5, and 0.9, coalesced vs independent execution in deterministic
-# lockstep; emits BENCH_crowd.json (index-pass reduction per point,
-# >= 3x gate at 10^3 clients / overlap >= 0.8, no-regression gate at
-# overlap 0).
+# 0.5, and 0.9, the hot cache plus coalescer stack vs independent
+# execution in deterministic lockstep; emits BENCH_crowd.json
+# (index-pass reduction per point, >= 3x gate at 10^3 clients / overlap
+# >= 0.8, no-regression gate at overlap 0).
 bench-crowd: build
 	$(GO) run ./cmd/experiments -bench-crowd BENCH_crowd.json
 

@@ -72,7 +72,7 @@ func main() {
 		cityLevels  = flag.Int("city-levels", 3, "subdivision levels per -city building")
 
 		hotCache  = flag.Bool("hot-cache", false, "enable the per-scene hot-region result cache")
-		coalesce  = flag.Bool("coalesce", false, "enable per-scene query coalescing: concurrent sessions asking the identical hot-region sub-query share one index pass")
+		coalesce  = flag.Bool("coalesce", false, "enable per-scene query coalescing: a session asking a sub-query identical to one still being searched waits for that search instead of running its own (finished results are remembered only by -hot-cache)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (empty disables)")
 
 		maxSessions  = flag.Int("max-sessions", 0, "shed connections beyond this many concurrent sessions (0 = unlimited)")
@@ -81,7 +81,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 		resumeCache  = flag.Int("resume-cache", 1024, "dropped sessions kept resumable per scene (0 disables resumption)")
 		resumeTTL    = flag.Duration("resume-ttl", 2*time.Minute, "how long a dropped session stays resumable")
-		budgetCap    = flag.Int64("budget-cap", 0, "server-side ceiling on one frame's byte budget; clamps client budgets above it, leaves unlimited (0) budgets alone (0 disables)")
 	)
 	statsFlags := stats.RegisterFlags(flag.CommandLine, 0)
 	flag.Parse()
@@ -327,7 +326,6 @@ func main() {
 	srv.SetLimits(*maxSessions, *idleTimeout, *frameTimeout)
 	srv.SetResumeCache(*resumeCache, *resumeTTL)
 	srv.SetDrainTimeout(*drainTimeout)
-	srv.SetBudgetCap(*budgetCap)
 
 	// Durability: an immediate first checkpoint, the periodic
 	// checkpointer, and the session journal — opened (recovering any torn

@@ -230,8 +230,6 @@ func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
 			PinFails:      hs.PinFails,
 			Entries:       int64(hs.Entries),
 			Bytes:         hs.Bytes,
-			Subscribers:   hs.Subscribers,
-			SubRefreshes:  hs.SubRefreshes,
 			PayloadHits:   hs.PayloadHits,
 		}
 	})
@@ -263,12 +261,11 @@ func enableCoalescer(sc *Scene, cfg retrieval.CoalescerConfig, st *stats.Stats) 
 	st.AddCoalescerSource(func() stats.CoalesceStats {
 		cs := co.Stats()
 		return stats.CoalesceStats{
-			Routed:          cs.Routed,
-			Led:             cs.Led,
-			Shared:          cs.Shared,
-			BypassCollision: cs.BypassCollision,
-			BypassStale:     cs.BypassStale,
-			Flights:         int64(cs.Flights),
+			Routed:      cs.Routed,
+			Led:         cs.Led,
+			Shared:      cs.Shared,
+			BypassStale: cs.BypassStale,
+			Flights:     int64(cs.Flights),
 		}
 	})
 }

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestRunCrowd is the crowd-serving acceptance gate: coalesced and
-// subscribed serving must be byte-identical to independent serving
-// across a forced mid-soak epoch bump, with every sharing counter
-// reconciling exactly. Run it under -race — the coalescer's followers
-// and the subscription layer only engage under real concurrency.
+// TestRunCrowd is the crowd-serving acceptance gate: serving through
+// the hot cache and the in-flight coalescer must be byte-identical to
+// independent serving across a forced mid-soak epoch bump, with every
+// sharing counter reconciling exactly. Run it under -race — the
+// coalescer's followers only engage under real concurrency.
 func TestRunCrowd(t *testing.T) {
 	if err := RunCrowd(CrowdRunSpec{Seed: 7}, os.Stderr); err != nil {
 		t.Fatal(err)

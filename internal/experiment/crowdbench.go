@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/hotcache"
 	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/retrieval"
@@ -15,12 +16,15 @@ import (
 )
 
 // CrowdBenchSpec configures the crowd-scaling benchmark: the flocked
-// crowd workload replayed socket-free through a coalesced server and an
-// independent one, sweeping crowd size and overlap factor. It is a
-// deterministic simulation — sessions are driven serially in lockstep
-// steps, and the coalescer's linger window (flushed at every step
-// boundary) stands in for within-step concurrency, so the index-pass
-// counts are exact and reproducible rather than scheduling-dependent.
+// crowd workload replayed socket-free through the sharing stack that
+// `cmd/server -hot-cache -coalesce` serves (default hot cache plus the
+// in-flight coalescer) and through an independent server, sweeping crowd
+// size and overlap factor. It is a deterministic simulation — sessions
+// are driven serially in lockstep steps, so no search is ever in flight
+// when another arrives: the coalescer routes every hot-cache miss and
+// shares nothing, and every saved pass is a hot-cache hit. The
+// index-pass counts are exact and reproducible rather than
+// scheduling-dependent.
 type CrowdBenchSpec struct {
 	Seed       int64
 	Objects    int       // dataset size (default 24)
@@ -60,14 +64,18 @@ type CrowdBenchPoint struct {
 	// SubQueries is the planned sub-query volume — identical on both
 	// sides, and exactly the independent server's index passes.
 	SubQueries int64 `json:"sub_queries"`
-	// CoalescedPasses is what the coalesced server actually spent:
-	// led flights plus collision and stale bypasses.
+	// CoalescedPasses is what the sharing server actually spent: led
+	// flights plus stale bypasses.
 	CoalescedPasses int64 `json:"coalesced_passes"`
-	Shared          int64 `json:"shared"`
+	// HotHits counts sub-queries answered from the hot cache; Shared
+	// counts those that adopted an in-flight search (0 in a serial
+	// replay).
+	HotHits int64 `json:"hot_hits"`
+	Shared  int64 `json:"shared"`
 	// PassReduction = SubQueries / CoalescedPasses.
-	PassReduction  float64 `json:"pass_reduction"`
-	IndependentMS  float64 `json:"independent_ms"`
-	CoalescedMS    float64 `json:"coalesced_ms"`
+	PassReduction float64 `json:"pass_reduction"`
+	IndependentMS float64 `json:"independent_ms"`
+	CoalescedMS   float64 `json:"coalesced_ms"`
 }
 
 // CrowdBenchResult is the JSON document RunCrowdBench emits
@@ -77,7 +85,7 @@ type CrowdBenchResult struct {
 	Steps   int               `json:"steps"`
 	Points  []CrowdBenchPoint `json:"points"`
 	// Gate summaries: at every point with >= 1000 clients and overlap
-	// >= 0.8 the coalescer must cut index passes by at least 3x, and at
+	// >= 0.8 sharing must cut index passes by at least 3x, and at
 	// overlap 0 it must never spend more passes than independent
 	// serving.
 	GateSpeedup      bool `json:"gate_speedup_3x"`
@@ -119,9 +127,6 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 					for i, tour := range crowd {
 						sessions[i].Frame(geom.RectAround(tour.Pos[s], side), tour.SpeedAt(s))
 					}
-					if co := srv.Coalescer(); co != nil {
-						co.Flush()
-					}
 				}
 				return time.Since(start)
 			}
@@ -133,31 +138,33 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 			ind.SetParallelism(1)
 			indMS := replay(ind)
 
-			// Coalesced: same store, fresh index, coalescer only (no hot
-			// cache — the bench isolates the coalescer's pass accounting).
+			// Sharing: same store, fresh index, the hot cache in front of
+			// the coalescer.
 			stCo := stats.New()
 			srv := retrieval.NewServer(d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
 			srv.SetStats(stCo)
 			srv.SetParallelism(1)
-			srv.SetCoalescer(retrieval.NewCoalescer(retrieval.CoalescerConfig{Window: time.Hour}))
+			srv.SetHotCache(hotcache.New(hotcache.Config{}))
+			srv.SetCoalescer(retrieval.NewCoalescer(retrieval.CoalescerConfig{}))
 			coMS := replay(srv)
 
-			cs := srv.Coalescer().Stats()
+			cs, hs := srv.Coalescer().Stats(), srv.HotCache().Stats()
 			subq := stInd.Snapshot().SubQueries
 			if got := stCo.Snapshot().SubQueries; got != subq {
 				return nil, fmt.Errorf("experiment: sub-query volume diverged: %d coalesced vs %d independent", got, subq)
 			}
-			if cs.Routed != subq {
-				return nil, fmt.Errorf("experiment: %d routed of %d sub-queries — the coalescer was bypassed", cs.Routed, subq)
+			if cs.Routed+hs.Hits != subq {
+				return nil, fmt.Errorf("experiment: %d routed + %d hot hits != %d sub-queries", cs.Routed, hs.Hits, subq)
 			}
-			if got := cs.Led + cs.Shared + cs.BypassCollision + cs.BypassStale; got != cs.Routed {
+			if got := cs.Led + cs.Shared + cs.BypassStale; got != cs.Routed {
 				return nil, fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted", cs.Routed, got)
 			}
 			point := CrowdBenchPoint{
 				Clients:         clients,
 				Overlap:         overlap,
 				SubQueries:      subq,
-				CoalescedPasses: cs.Led + cs.BypassCollision + cs.BypassStale,
+				CoalescedPasses: cs.Led + cs.BypassStale,
+				HotHits:         hs.Hits,
 				Shared:          cs.Shared,
 				IndependentMS:   float64(indMS.Microseconds()) / 1000,
 				CoalescedMS:     float64(coMS.Microseconds()) / 1000,
@@ -166,8 +173,8 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 				point.PassReduction = float64(point.SubQueries) / float64(point.CoalescedPasses)
 			}
 			res.Points = append(res.Points, point)
-			fmt.Fprintf(w, "  %6d clients, overlap %.1f: %7d sub-queries -> %7d passes (%5.1fx, %6d shared) · %7.1fms vs %7.1fms independent\n",
-				clients, overlap, point.SubQueries, point.CoalescedPasses, point.PassReduction, point.Shared,
+			fmt.Fprintf(w, "  %6d clients, overlap %.1f: %7d sub-queries -> %7d passes (%5.1fx, %6d hot hits, %d shared) · %7.1fms vs %7.1fms independent\n",
+				clients, overlap, point.SubQueries, point.CoalescedPasses, point.PassReduction, point.HotHits, point.Shared,
 				point.CoalescedMS, point.IndependentMS)
 		}
 	}
@@ -202,10 +209,10 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 		fmt.Fprintf(w, "  wrote %s\n", jsonPath)
 	}
 	if !res.GateSpeedup {
-		return res, fmt.Errorf("experiment: coalescing cut fewer than 3x index passes at scale")
+		return res, fmt.Errorf("experiment: sharing cut fewer than 3x index passes at scale")
 	}
 	if !res.GateNoRegression {
-		return res, fmt.Errorf("experiment: coalescing spent extra index passes on a no-overlap crowd")
+		return res, fmt.Errorf("experiment: sharing spent extra index passes on a no-overlap crowd")
 	}
 	return res, nil
 }

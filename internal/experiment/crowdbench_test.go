@@ -42,6 +42,7 @@ func TestRunCrowdBench(t *testing.T) {
 	for i := range res.Points {
 		if res.Points[i].CoalescedPasses != again.Points[i].CoalescedPasses ||
 			res.Points[i].SubQueries != again.Points[i].SubQueries ||
+			res.Points[i].HotHits != again.Points[i].HotHits ||
 			res.Points[i].Shared != again.Points[i].Shared {
 			t.Fatalf("point %d not deterministic: %+v vs %+v", i, res.Points[i], again.Points[i])
 		}

@@ -121,27 +121,19 @@ type Cache struct {
 	head  *entry // most recently used
 	tail  *entry // least recently used
 	bytes int64
-	// subs counts live subscriptions per bucket (see Subscribe). A
-	// subscribed bucket's entry is exempt from LRU eviction — the
-	// multicast contract is that a hot region's payload stays resident
-	// while anyone is watching it — though replacement and epoch
-	// invalidation still remove it (a fresh recomputation follows).
-	subs map[key]int
 
 	hits          atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	pinFails      atomic.Int64
-	subscribers   atomic.Int64
-	subRefreshes  atomic.Int64
 	payloadHits   atomic.Int64
 }
 
 // New builds an empty cache with the given bounds.
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
-	return &Cache{cfg: cfg, m: make(map[key]*entry, cfg.MaxEntries), subs: make(map[key]int)}
+	return &Cache{cfg: cfg, m: make(map[key]*entry, cfg.MaxEntries)}
 }
 
 func (c *Cache) keyOf(q index.Query) key {
@@ -250,12 +242,6 @@ func (c *Cache) Put(q index.Query, e0, e1 uint64, ids []int64, io int64) {
 	c.m[e.k] = e
 	c.pushLocked(e)
 	c.bytes += e.bytes
-	if c.subs[e.k] > 0 {
-		// A store into a watched bucket is one multicast refresh: however
-		// many sessions subscribe to this region, the recomputation that
-		// repopulates it after an epoch bump happens once.
-		c.subRefreshes.Add(1)
-	}
 	c.evictOverflowLocked()
 	c.mu.Unlock()
 }
@@ -303,80 +289,6 @@ func (c *Cache) SetPayload(q index.Query, epoch uint64, payload []byte) {
 	c.mu.Unlock()
 }
 
-// Sub is one session's registered interest in a hot region — the
-// subscription half of the multicast layer. A Sub tracks at most one
-// bucket at a time (a viewer watches one neighbourhood); Set moves it
-// as the viewer moves. While any Sub covers a bucket, that bucket's
-// cache entry is exempt from LRU eviction, so the shared serialized
-// payload stays resident for every subscriber and an epoch bump costs
-// one recomputation total (see Cache.Put's refresh accounting).
-//
-// A Sub is owned by one session goroutine: Set and Close must not race
-// each other, but they are safe against concurrent cache operations.
-type Sub struct {
-	c      *Cache
-	k      key
-	active bool
-	closed bool
-}
-
-// Subscribe opens a subscription with no interest registered yet; call
-// Set to point it at a region.
-func (c *Cache) Subscribe() *Sub { return &Sub{c: c} }
-
-// Set registers interest in the query's bucket, releasing the
-// previously watched bucket (if different). Re-setting the same bucket
-// is a cheap no-op — a paused viewer re-asserting the same region every
-// frame costs one quantization and one comparison, no lock.
-func (s *Sub) Set(q index.Query) {
-	if s.closed {
-		return
-	}
-	k := s.c.keyOf(q)
-	if s.active && k == s.k {
-		return
-	}
-	c := s.c
-	c.mu.Lock()
-	if s.active {
-		c.unsubscribeLocked(s.k)
-	} else {
-		c.subscribers.Add(1)
-	}
-	c.subs[k]++
-	c.mu.Unlock()
-	s.k, s.active = k, true
-}
-
-// Close releases the subscription. Idempotent; a closed Sub ignores
-// further Set calls.
-func (s *Sub) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if !s.active {
-		return
-	}
-	c := s.c
-	c.mu.Lock()
-	c.unsubscribeLocked(s.k)
-	c.mu.Unlock()
-	s.active = false
-	c.subscribers.Add(-1)
-}
-
-// unsubscribeLocked drops one reference from a bucket. When the last
-// watcher leaves, the bucket's entry rejoins the normal LRU economy;
-// if the cache is over budget it is evicted on the next overflow pass.
-func (c *Cache) unsubscribeLocked(k key) {
-	if n := c.subs[k]; n > 1 {
-		c.subs[k] = n - 1
-	} else {
-		delete(c.subs, k)
-	}
-}
-
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits          int64
@@ -388,12 +300,6 @@ type Stats struct {
 	PinFails int64
 	Entries  int
 	Bytes    int64
-	// Subscribers is the current number of open subscriptions with a
-	// registered bucket (a gauge; see Subscribe).
-	Subscribers int64
-	// SubRefreshes counts stores into subscribed buckets — one per
-	// multicast recomputation, however many sessions share the result.
-	SubRefreshes int64
 	// PayloadHits counts responses served from a cached serialized
 	// payload (Payload returning true) — the encode passes skipped.
 	PayloadHits int64
@@ -412,8 +318,6 @@ func (c *Cache) Stats() Stats {
 		PinFails:      c.pinFails.Load(),
 		Entries:       entries,
 		Bytes:         bytes,
-		Subscribers:   c.subscribers.Load(),
-		SubRefreshes:  c.subRefreshes.Load(),
 		PayloadHits:   c.payloadHits.Load(),
 	}
 }
@@ -423,20 +327,12 @@ func (c *Cache) Stats() Stats {
 const entryOverhead = 160
 
 // evictOverflowLocked drops least-recently-used entries until both
-// bounds hold, skipping subscribed buckets (their entries are the
-// multicast working set — evicting one would make every subscriber
-// recompute it). When only subscribed entries remain the bounds may be
-// exceeded; subscriptions, like pinned pages, take precedence over the
-// budget. The caller holds c.mu.
+// bounds hold; the bounds are hard — every entry, payload and page pin
+// included, is evictable. The caller holds c.mu.
 func (c *Cache) evictOverflowLocked() {
-	e := c.tail
-	for e != nil && (len(c.m) > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) {
-		prev := e.prev
-		if c.subs[e.k] == 0 {
-			c.removeLocked(e)
-			c.evictions.Add(1)
-		}
-		e = prev
+	for c.tail != nil && (len(c.m) > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) {
+		c.evictions.Add(1)
+		c.removeLocked(c.tail)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestLRUEviction(t *testing.T) {
 	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(10, 10, 10.5, 10.5, 1), q(20, 20, 20.5, 20.5, 1)
 	c.Put(qa, 0, 0, []int64{1}, 1)
 	c.Put(qb, 0, 0, []int64{2}, 1)
-	c.Get(qa, 0, nil)            // refresh a
+	c.Get(qa, 0, nil)              // refresh a
 	c.Put(qc, 0, 0, []int64{3}, 1) // evicts b (LRU)
 	if _, _, ok := c.Get(qb, 0, nil); ok {
 		t.Fatal("LRU entry survived eviction")
@@ -123,6 +123,23 @@ func TestLRUEviction(t *testing.T) {
 	st := cb.Stats()
 	if st.Entries != 1 || st.Evictions != 1 || st.Bytes > entryOverhead+512 {
 		t.Fatalf("byte bound not enforced: %+v", st)
+	}
+}
+
+// TestPayloadHitCounter pins the payload-replay accounting: every
+// successful Payload replay counts.
+func TestPayloadHitCounter(t *testing.T) {
+	c := New(Config{})
+	qa := q(0, 0, 30, 30, 1)
+	c.Put(qa, 0, 0, []int64{1}, 1)
+	c.SetPayload(qa, 0, []byte{1, 2, 3})
+	for i := 0; i < 3; i++ {
+		if _, ok := c.Payload(qa, 0); !ok {
+			t.Fatal("payload vanished")
+		}
+	}
+	if got := c.Stats().PayloadHits; got != 3 {
+		t.Fatalf("PayloadHits = %d, want 3", got)
 	}
 }
 

@@ -357,47 +357,6 @@ func TestFrameBudgetTruncationConvergence(t *testing.T) {
 	}
 }
 
-// TestBudgetCapClampsPositiveBudgets pins the server-side cap rule, the
-// same for every frame: a positive budget above the cap is clamped to it
-// (and the response reports the clamped budget and truncates), while a
-// zero budget stays unlimited — a capped server answers it byte for byte
-// like an uncapped one.
-func TestBudgetCapClampsPositiveBudgets(t *testing.T) {
-	const capCoeffs = 40
-	capBytes := int64(capCoeffs) * wavelet.WireBytes
-	addr, d, _, _, shutdown := startHardenedServer(t, func(s *Server) {
-		s.SetBudgetCap(capBytes)
-	})
-	defer shutdown()
-	uncapped, _, _, _, shutdownUncapped := startHardenedServer(t, nil)
-	defer shutdownUncapped()
-	subs := []retrieval.SubQuery{{Region: d.Store.Bounds().XY(), WMin: 0, WMax: 1}}
-	send := func(maxBytes int64) func(*Writer) error {
-		return func(w *Writer) error {
-			return w.WriteRequest(Request{Speed: 0, Subs: subs, MaxBytes: maxBytes})
-		}
-	}
-
-	capped, resp := rawExchange(t, addr, send(0))
-	plain, _ := rawExchange(t, uncapped, send(0))
-	if !bytes.Equal(capped, plain) {
-		t.Fatalf("zero-budget frame differs under a cap (%d vs %d bytes)", len(capped), len(plain))
-	}
-	if len(resp.Coeffs) <= capCoeffs || resp.Dropped != 0 || resp.Budget != 0 {
-		t.Fatalf("zero-budget frame: %d coeffs, %d dropped, budget %d; want > %d coeffs, unlimited",
-			len(resp.Coeffs), resp.Dropped, resp.Budget, capCoeffs)
-	}
-
-	_, resp = rawExchange(t, addr, send(capBytes*4))
-	if resp.Budget != capBytes {
-		t.Fatalf("effective budget %d, want the cap %d", resp.Budget, capBytes)
-	}
-	if len(resp.Coeffs) != capCoeffs || resp.Dropped == 0 {
-		t.Fatalf("capped frame: %d coeffs, %d dropped; want %d coeffs and a truncation",
-			len(resp.Coeffs), resp.Dropped, capCoeffs)
-	}
-}
-
 // TestDegradedFloorDecaysToZero is the regression test for the
 // last-resort fallback's recovery path: after timeouts raise the
 // degraded-mode floor, sustained successful frames must walk it all the

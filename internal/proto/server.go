@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/hotcache"
 	"repro/internal/index"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
@@ -47,7 +46,6 @@ type Server struct {
 	idleTimeout  time.Duration // max silence between frames; 0 = none
 	frameTimeout time.Duration // per-frame read/write deadline; 0 = none
 	drainTimeout time.Duration // graceful-close bound
-	budgetCap    int64         // ceiling on positive frame budgets; 0 = none
 
 	mu     sync.Mutex
 	closed bool
@@ -120,19 +118,6 @@ func (s *Server) SetLimits(maxSessions int, idle, frame time.Duration) {
 	s.maxSessions = maxSessions
 	s.idleTimeout = idle
 	s.frameTimeout = frame
-}
-
-// SetBudgetCap ceilings the effective byte budget of every request: a
-// client budget above the cap is clamped down to it, bounding the
-// response a single budgeted frame can demand. A budget of 0 (unlimited)
-// is never capped — plain Algorithm 1 frames must not be truncated, and
-// their responses stay byte-identical to an uncapped server's. 0
-// disables the cap. Call before Serve.
-func (s *Server) SetBudgetCap(maxBytes int64) {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	s.budgetCap = maxBytes
 }
 
 // SetResumeCache bounds every scene's closed-session cache: capacity
@@ -352,17 +337,6 @@ func (s *Server) handle(conn net.Conn) {
 	// frame's bytes are in payloadBuf. nil for in-memory scenes.
 	pinner, _ := scene.Source.(index.PinningSource)
 	var pins *index.Pins
-	// hotSub is this session's hot-region subscription (nil until the
-	// session first serves a frame provably equal to a cache entry). It
-	// follows the viewer: each hot frame re-points it at that frame's
-	// bucket, keeping the region's entry — and its shared serialized
-	// payload — exempt from LRU eviction while anyone watches it.
-	var hotSub *hotcache.Sub
-	defer func() {
-		if hotSub != nil {
-			hotSub.Close()
-		}
-	}()
 	defer func() {
 		// Park only sessions that actually started: an interrupted
 		// connection that never served a request or resume has no
@@ -427,11 +401,6 @@ func (s *Server) handle(conn net.Conn) {
 			s.setConnScene(conn, scene.Name)
 			pinner, _ = scene.Source.(index.PinningSource)
 			pins = nil // a pin set is bound to one store
-			if hotSub != nil {
-				// A subscription is bound to one scene's cache.
-				hotSub.Close()
-				hotSub = nil
-			}
 			sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}
 			if err := s.sendHello(conn, w, scene, token); err != nil {
 				s.st.RecordError()
@@ -501,29 +470,17 @@ func (s *Server) handle(conn net.Conn) {
 				started = true
 				s.setConnStarted(conn)
 			}
-			// The server-side cap clamps over-large client budgets; the
-			// truncation itself is the deterministic prefix cut of
+			// The budget's truncation is the deterministic prefix cut of
 			// retrieval.Server.Execute.
-			maxBytes := req.MaxBytes
-			if s.budgetCap > 0 && maxBytes > s.budgetCap {
-				maxBytes = s.budgetCap
-			}
-			resp := sess.Session.RetrieveBudget(req.Subs, maxBytes)
+			resp := sess.Session.RetrieveBudget(req.Subs, req.MaxBytes)
 			sess.Seq++
 			hot := scene.Server.HotCache()
 			var payload []byte
 			if hot != nil && resp.Hot.Valid {
-				// Multicast registration: this session is watching the hot
-				// region it just retrieved; keep the region's entry resident
-				// until the session moves on or disconnects.
-				if hotSub == nil {
-					hotSub = hot.Subscribe()
-				}
-				hotSub.Set(resp.Hot.Query)
 				if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wireCoeffBytes {
 					payload = p
 				}
-			} else if hot != nil && maxBytes > 0 {
+			} else if hot != nil && req.MaxBytes > 0 {
 				// A budgeted frame that cannot carry a HotRef — the budget
 				// truncated it (or the merge dropped something) — pays the
 				// full encode pass even with a hot cache wired.
@@ -583,7 +540,7 @@ func (s *Server) handle(conn net.Conn) {
 			// after the encode pass so it records what was actually sent.
 			sess.LastIDs = append(sess.LastIDs[:0], resp.IDs...)
 			s.setWriteDeadline(conn)
-			if err := w.WriteBudgetResponsePayload(len(resp.IDs), resp.IO, sess.Seq, resp.Dropped, maxBytes, payload); err != nil {
+			if err := w.WriteBudgetResponsePayload(len(resp.IDs), resp.IO, sess.Seq, resp.Dropped, req.MaxBytes, payload); err != nil {
 				s.st.RecordError()
 				s.logf("proto: response to %v failed: %v", conn.RemoteAddr(), err)
 				return

@@ -1,8 +1,8 @@
 package retrieval
 
 import (
+	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,98 +13,12 @@ import (
 )
 
 // reconcile asserts the coalescer's exact accounting invariant: every
-// routed sub-query took exactly one of the four paths.
+// routed sub-query took exactly one of the three paths.
 func reconcile(t *testing.T, cs CoalescerStats) {
 	t.Helper()
-	if cs.Routed != cs.Led+cs.Shared+cs.BypassCollision+cs.BypassStale {
-		t.Fatalf("coalescer counters do not reconcile: routed %d != led %d + shared %d + collision %d + stale %d",
-			cs.Routed, cs.Led, cs.Shared, cs.BypassCollision, cs.BypassStale)
-	}
-}
-
-// TestCoalescerSharesLingeringResult pins the deterministic serial
-// contract: within the linger window at an unchanged epoch, a repeat of
-// the identical query adopts the flight instead of re-searching.
-func TestCoalescerSharesLingeringResult(t *testing.T) {
-	srv := testShardedServer(t, 8, 41, 4)
-	srv.SetParallelism(1)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
-	if srv.Coalescer() == nil {
-		t.Fatal("coalescer not wired despite Epocher index")
-	}
-	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-
-	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
-	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
-	if !respEqual(r1, r2) {
-		t.Fatal("adopted response differs from the leader's")
-	}
-	cs := srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if cs.Routed != 2 || cs.Led != 1 || cs.Shared != 1 {
-		t.Fatalf("expected 1 led + 1 shared of 2 routed, got %+v", cs)
-	}
-
-	// An epoch bump makes the lingering flight unadoptable: the repeat
-	// bypasses as stale, and the one after that leads a fresh flight.
-	mut := srv.Index().(index.Mutable)
-	mut.Delete(0)
-	mut.Insert(0)
-	r3 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
-	if !respEqual(r1, r3) {
-		t.Fatal("post-bump response differs (content unchanged: delete+reinsert of the same id)")
-	}
-	cs = srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if cs.BypassStale != 1 {
-		t.Fatalf("expected exactly 1 stale bypass after the epoch bump, got %+v", cs)
-	}
-	r4 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
-	if !respEqual(r1, r4) {
-		t.Fatal("fresh-flight response differs")
-	}
-	cs = srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if cs.Led != 2 || cs.Shared != 1 {
-		t.Fatalf("expected the post-stale repeat to lead a fresh flight, got %+v", cs)
-	}
-}
-
-// TestCoalescerMovedQueryReplacesFlight pins the moving-crowd rule: a
-// completed flight whose exact query nobody is asking anymore does not
-// squat on its bucket — the next different query in the bucket evicts
-// it and leads a fresh flight (so a flock re-landing in one bucket step
-// after step keeps sharing), and never adopts the wrong result.
-func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
-	srv := testShardedServer(t, 8, 43, 4)
-	srv.SetParallelism(1)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
-	a := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.20, WMax: 1}
-	b := a
-	b.WMin = 0.21 // same 0.25-band bucket, different exact query
-
-	ra := srv.Execute([]SubQuery{a}, nil, nil, 0)
-	rb := srv.Execute([]SubQuery{b}, nil, nil, 0)
-	cs := srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if cs.Led != 2 || cs.BypassCollision != 0 {
-		t.Fatalf("expected the moved query to replace the stale flight and lead, got %+v", cs)
-	}
-	// The replacement flight is adoptable in turn.
-	rb2 := srv.Execute([]SubQuery{b}, nil, nil, 0)
-	if !respEqual(rb, rb2) {
-		t.Fatal("adoption from the replacement flight diverged")
-	}
-	if cs = srv.Coalescer().Stats(); cs.Shared != 1 {
-		t.Fatalf("expected the repeat of the replacement query to share, got %+v", cs)
-	}
-	// Each led pass must match uncoalesced execution exactly.
-	plain := testShardedServer(t, 8, 43, 4)
-	if wa := plain.Execute([]SubQuery{a}, nil, nil, 0); !respEqual(ra, wa) {
-		t.Fatal("query a diverged from uncoalesced execution")
-	}
-	if wb := plain.Execute([]SubQuery{b}, nil, nil, 0); !respEqual(rb, wb) {
-		t.Fatal("query b diverged from uncoalesced execution")
+	if cs.Routed != cs.Led+cs.Shared+cs.BypassStale {
+		t.Fatalf("coalescer counters do not reconcile: routed %d != led %d + shared %d + stale %d",
+			cs.Routed, cs.Led, cs.Shared, cs.BypassStale)
 	}
 }
 
@@ -142,78 +56,159 @@ func (g *gatedIndex) Search(q index.Query) ([]int64, int64) {
 	return g.inner.Search(q)
 }
 
-// TestCoalescerInFlightCollision pins the one case that still bypasses:
-// a different exact query arriving while a flight for its bucket is
-// mid-search cannot wait (it would adopt the wrong answer) and cannot
-// replace (the flight is live) — it runs its own search.
-func TestCoalescerInFlightCollision(t *testing.T) {
-	base := testShardedServer(t, 8, 43, 4)
+// gatedServer builds a coalesced server over a gatedIndex and an
+// uncoalesced twin over an identically built index (same seed, same
+// tree, same I/O counts) to compare responses against.
+func gatedServer(t *testing.T, seed int64) (*Server, *gatedIndex, *Server) {
+	t.Helper()
+	base := testShardedServer(t, 8, seed, 4)
 	gated := &gatedIndex{inner: base.Index().(*index.Sharded)}
 	srv := NewServer(base.Store(), gated)
 	srv.SetStats(nil)
 	srv.SetParallelism(1)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
-	a := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.20, WMax: 1}
-	b := a
-	b.WMin = 0.21 // same 0.25-band bucket, different exact query
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
+	return srv, gated, testShardedServer(t, 8, seed, 4)
+}
 
-	block, entered := gated.arm()
-	lead := make(chan Response, 1)
-	go func() { lead <- srv.Execute([]SubQuery{a}, nil, nil, 0) }()
-	<-entered // the leader is now mid-search, flight in place
-
-	rb := srv.Execute([]SubQuery{b}, nil, nil, 0)
-	close(block)
-	ra := <-lead
-
-	cs := srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if cs.Led != 1 || cs.BypassCollision != 1 {
-		t.Fatalf("expected 1 led + 1 in-flight collision bypass, got %+v", cs)
+// inFlight executes sub once per scratch (nil = a call-local scratch),
+// concurrently: the first execution leads and is blocked mid-search, and
+// inFlight returns only once every other execution has been routed —
+// i.e. has joined the blocked leader's flight. The returned release
+// unblocks the leader and yields the responses in scratch order.
+func inFlight(t *testing.T, srv *Server, g *gatedIndex, sub SubQuery, scs ...*Scratch) (release func() []Response) {
+	t.Helper()
+	block, entered := g.arm()
+	out := make([]Response, len(scs))
+	var wg sync.WaitGroup
+	run := func(i int) {
+		defer wg.Done()
+		out[i] = srv.Execute([]SubQuery{sub}, nil, scs[i], 0)
 	}
-	plain := testShardedServer(t, 8, 43, 4)
-	if wa := plain.Execute([]SubQuery{a}, nil, nil, 0); !respEqual(ra, wa) {
-		t.Fatal("query a diverged from uncoalesced execution")
+	wg.Add(len(scs))
+	go run(0)
+	<-entered // the leader is mid-search, its flight published
+	for i := 1; i < len(scs); i++ {
+		go run(i)
 	}
-	if wb := plain.Execute([]SubQuery{b}, nil, nil, 0); !respEqual(rb, wb) {
-		t.Fatal("query b diverged from uncoalesced execution")
+	for srv.Coalescer().Stats().Routed < int64(len(scs)) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return func() []Response {
+		close(block)
+		wg.Wait()
+		return out
 	}
 }
 
-// TestCoalescerFlushEndsSharing pins Flush: completed flights are
-// dropped, so the next identical query leads again.
-func TestCoalescerFlushEndsSharing(t *testing.T) {
-	srv := testShardedServer(t, 8, 47, 4)
-	srv.SetParallelism(1)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
-	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
-	srv.Execute([]SubQuery{sub}, nil, nil, 0)
-	srv.Coalescer().Flush()
-	if f := srv.Coalescer().Stats().Flights; f != 0 {
-		t.Fatalf("%d flights survive Flush", f)
-	}
-	srv.Execute([]SubQuery{sub}, nil, nil, 0)
+// TestCoalescerFollowerAdoptsInFlightResult pins the coalescer's one
+// job: an identical query arriving while the leader's search is still
+// running waits for it and adopts its result, byte-identical to an
+// uncoalesced server's, and the flight retires once the search is done.
+func TestCoalescerFollowerAdoptsInFlightResult(t *testing.T) {
+	srv, g, plain := gatedServer(t, 41)
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	got := inFlight(t, srv, g, sub, nil, nil)()
+
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
-	if cs.Led != 2 || cs.Shared != 0 {
-		t.Fatalf("expected both executions to lead after Flush, got %+v", cs)
+	if cs.Routed != 2 || cs.Led != 1 || cs.Shared != 1 || cs.Flights != 0 {
+		t.Fatalf("expected 1 led + 1 shared of 2 routed and no flight left, got %+v", cs)
+	}
+	want := plain.Execute([]SubQuery{sub}, nil, nil, 0)
+	if len(want.IDs) == 0 {
+		t.Fatal("query hits nothing; the adoption check is vacuous")
+	}
+	for i, r := range got {
+		if !respEqual(r, want) {
+			t.Fatalf("response %d diverged from uncoalesced execution", i)
+		}
 	}
 }
 
-// TestCoalescerWindowExpiry pins the time-based linger bound: once the
-// window passes, the flight ages out and the next query leads.
-func TestCoalescerWindowExpiry(t *testing.T) {
-	srv := testShardedServer(t, 8, 53, 4)
-	srv.SetParallelism(1)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Millisecond}))
-	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
-	srv.Execute([]SubQuery{sub}, nil, nil, 0)
-	time.Sleep(5 * time.Millisecond)
-	srv.Execute([]SubQuery{sub}, nil, nil, 0)
+// TestCoalescerEpochBumpBypassesStale pins the epoch rule: a mutation
+// landing while the leader is mid-search makes its result unstable, so
+// the waiting follower runs its own search instead of adopting, and
+// neither result is memoized into the wired hot cache.
+func TestCoalescerEpochBumpBypassesStale(t *testing.T) {
+	srv, g, plain := gatedServer(t, 43)
+	srv.SetHotCache(hotcache.New(hotcache.Config{}))
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	release := inFlight(t, srv, g, sub, nil, nil)
+	// Delete + reinsert of the same id: content unchanged, epoch moved.
+	g.inner.Delete(0)
+	g.inner.Insert(0)
+	got := release()
+
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
-	if cs.Led != 2 || cs.Shared != 0 {
-		t.Fatalf("expected the lingering flight to expire, got %+v", cs)
+	if cs.Led != 1 || cs.Shared != 0 || cs.BypassStale != 1 || cs.Flights != 0 {
+		t.Fatalf("expected 1 led + 1 stale bypass, got %+v", cs)
+	}
+	if hs := srv.HotCache().Stats(); hs.Entries != 0 {
+		t.Fatalf("a result from across the epoch bump was memoized: %+v", hs)
+	}
+	mut := plain.Index().(index.Mutable)
+	mut.Delete(0)
+	mut.Insert(0)
+	want := plain.Execute([]SubQuery{sub}, nil, nil, 0)
+	for i, r := range got {
+		if !respEqual(r, want) {
+			t.Fatalf("response %d diverged from uncoalesced execution", i)
+		}
+		if r.Hot.Valid {
+			t.Fatalf("response %d carries a HotRef for an unstable result", i)
+		}
+	}
+}
+
+// TestCoalescerFollowerCopiesFlightIDs pins the aliasing contract: each
+// adopted result is copied out of the flight into the session's own
+// buffer, so one session reusing its scratch can never corrupt another
+// session's result.
+func TestCoalescerFollowerCopiesFlightIDs(t *testing.T) {
+	srv, g, _ := gatedServer(t, 67)
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	var lead, a, b Scratch
+	got := inFlight(t, srv, g, sub, &lead, &a, &b)()
+
+	cs := srv.Coalescer().Stats()
+	reconcile(t, cs)
+	if cs.Led != 1 || cs.Shared != 2 {
+		t.Fatalf("expected 1 led + 2 shared, got %+v", cs)
+	}
+	if len(got[0].IDs) == 0 {
+		t.Fatal("query hits nothing; the aliasing check is vacuous")
+	}
+	slabs := []*int64{&lead.results[0].ids[0], &a.results[0].ids[0], &b.results[0].ids[0]}
+	if slabs[0] == slabs[1] || slabs[0] == slabs[2] || slabs[1] == slabs[2] {
+		t.Fatal("sessions share one id slab instead of copying out of the flight")
+	}
+	for i := range got[1:] {
+		if !respEqual(got[i+1], got[0]) {
+			t.Fatalf("follower %d's ids differ from the leader's", i)
+		}
+	}
+}
+
+// TestCoalescerNaNQueryBypassesTable pins the NaN rule: a query that is
+// not equal to itself could never be found or deleted in the flight
+// table, so it searches alone and leaves no flight behind.
+func TestCoalescerNaNQueryBypassesTable(t *testing.T) {
+	srv := testShardedServer(t, 8, 71, 4)
+	srv.SetParallelism(1)
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
+	plain := testShardedServer(t, 8, 71, 4)
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: math.NaN(), WMax: 1}
+	want := plain.Execute([]SubQuery{sub}, nil, nil, 0)
+	for i := 0; i < 2; i++ {
+		if got := srv.Execute([]SubQuery{sub}, nil, nil, 0); !respEqual(got, want) {
+			t.Fatalf("NaN query %d diverged from uncoalesced execution", i)
+		}
+	}
+	cs := srv.Coalescer().Stats()
+	reconcile(t, cs)
+	if cs.Routed != 2 || cs.Led != 2 || cs.Flights != 0 {
+		t.Fatalf("expected 2 solo leads and an empty table, got %+v", cs)
 	}
 }
 
@@ -225,7 +220,7 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv := testShardedServer(t, 8, 59, 4)
 	srv.SetParallelism(1)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r1.Hot.Valid {
@@ -246,15 +241,17 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 // TestCoalescedConcurrentMatchesIndependent is the byte-identity
 // property under real concurrency (meaningful under -race): many
 // sessions run overlapping frame streams in lockstep steps — all
-// clients of a step concurrent against the coalesced server — and every
-// response must be field-identical to an uncoalesced serial oracle
-// serving the same streams. A mid-soak epoch bump (delete + reinsert of
-// the same id at a step barrier, applied to both indexes, so content
-// and tree shape stay identical) forces the invalidation path.
+// clients of a step concurrent against a server with the hot cache in
+// front of the coalescer — and every response must be field-identical
+// to an unshared serial oracle serving the same streams. A mid-soak
+// epoch bump (delete + reinsert of the same id at a step barrier,
+// applied to both indexes, so content and tree shape stay identical)
+// forces the invalidation path.
 func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 	const clients, steps, bumpAt = 8, 60, 30
 	srv := testShardedServer(t, 10, 61, 4)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: 50 * time.Millisecond}))
+	srv.SetHotCache(hotcache.New(hotcache.Config{}))
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 	oracle := testShardedServer(t, 10, 61, 4)
 
 	// Pre-plan every client's frames: half the clients share one flock
@@ -337,34 +334,25 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 	if len(failures) > 0 {
 		t.Fatal(failures[0])
 	}
-	cs := srv.Coalescer().Stats()
+	cs, hs := srv.Coalescer().Stats(), srv.HotCache().Stats()
 	reconcile(t, cs)
-	if cs.Routed == 0 || cs.Shared == 0 {
-		t.Fatalf("soak shared nothing — property is vacuous: %+v", cs)
+	// Every well-formed sub-query was either a hot-cache hit or routed.
+	ran := int64(0)
+	for c := range streams {
+		for _, frame := range streams[c] {
+			for _, sub := range frame {
+				if !sub.Region.Empty() && sub.WMin <= sub.WMax {
+					ran++
+				}
+			}
+		}
 	}
-}
-
-// TestCoalescerFollowerCopiesFlightIDs pins the aliasing contract: an
-// adopted result is copied into the session's own buffer, so a
-// follower's later frames cannot corrupt the flight (or other
-// followers' responses).
-func TestCoalescerFollowerCopiesFlightIDs(t *testing.T) {
-	srv := testShardedServer(t, 8, 67, 4)
-	srv.SetParallelism(1)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
-	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	var sc Scratch
-	lead := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
-	leadIDs := slices.Clone(lead.IDs)
-	adopted := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
-	if !slices.Equal(adopted.IDs, leadIDs) {
-		t.Fatal("adopted ids differ from the flight's")
+	if cs.Routed+hs.Hits != ran {
+		t.Fatalf("%d routed + %d hot hits != %d sub-queries", cs.Routed, hs.Hits, ran)
 	}
-	// Overwrite the scratch with an unrelated query, then adopt again:
-	// the flight must still hold the original ids.
-	srv.Execute([]SubQuery{{Region: geom.R2(0, 0, 50, 50), WMin: 0.9, WMax: 1}}, nil, &sc, 0)
-	again := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
-	if !slices.Equal(again.IDs, leadIDs) {
-		t.Fatal("flight ids were corrupted by an interleaved scratch frame")
+	// Whether a flock member adopts the leader's flight or hits the cache
+	// depends on scheduling; that it shares one or the other does not.
+	if cs.Routed == 0 || cs.Shared+hs.Hits == 0 {
+		t.Fatalf("soak shared nothing — property is vacuous: %+v, %+v", cs, hs)
 	}
 }

@@ -498,8 +498,9 @@ func (s *Server) queryOf(sub *SubQuery) index.Query {
 
 // searchOne answers one sub-query: through the hot cache when one is
 // wired (Get, else search-and-Put under the seqlock epoch protocol),
-// through the coalescer when one is wired (sharing one index pass among
-// concurrent identical searches), directly against the index otherwise.
+// through the coalescer when one is wired (sharing one in-flight index
+// pass among concurrent identical searches), directly against the index
+// otherwise.
 // out.ids is reused as the result buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
 	q := s.queryOf(sub)
@@ -518,16 +519,8 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
 		}
 	}
 	if s.co != nil {
-		var stable bool
-		out.ids, out.io, out.epoch, stable = s.co.do(s, q, e0, out.ids[:0], cur)
-		out.hot = stable
-		if s.hot != nil && stable {
-			// The coalescer proved the result valid at the stable even
-			// epoch it returns, so the hot cache may memoize it under that
-			// epoch — one recomputation refreshes the entry for every
-			// subscriber.
-			s.hot.Put(q, out.epoch, out.epoch, out.ids, out.io)
-		}
+		// The flight leader memoizes its result into the hot cache itself.
+		out.ids, out.io, out.epoch, out.hot = s.co.do(s, q, e0, out.ids[:0], cur)
 		return
 	}
 	out.ids, out.io = s.runSearch(q, out.ids[:0], cur)

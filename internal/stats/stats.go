@@ -181,9 +181,9 @@ type Stats struct {
 	// coefficients are never marked delivered, so sessions converge once
 	// the page heals.
 	coeffsWithheld atomic.Int64
-	abrBandwidth         atomic.Int64 // gauge, bytes/second
-	abrRTT               atomic.Int64 // gauge, nanoseconds
-	abrBudget            atomic.Int64 // gauge, bytes per frame
+	abrBandwidth   atomic.Int64 // gauge, bytes/second
+	abrRTT         atomic.Int64 // gauge, nanoseconds
+	abrBudget      atomic.Int64 // gauge, bytes per frame
 
 	latency   Histogram // per-request latency in nanoseconds
 	requestIO Histogram // index node reads per request
@@ -226,8 +226,6 @@ type HotCacheStats struct {
 	PinFails      int64 // inserts abandoned because a backing page was unreadable
 	Entries       int64
 	Bytes         int64
-	Subscribers   int64 // open region subscriptions (gauge)
-	SubRefreshes  int64 // multicast recomputations into subscribed buckets
 	PayloadHits   int64 // responses replayed from a cached serialized payload
 }
 
@@ -239,8 +237,6 @@ func (a HotCacheStats) add(b HotCacheStats) HotCacheStats {
 	a.PinFails += b.PinFails
 	a.Entries += b.Entries
 	a.Bytes += b.Bytes
-	a.Subscribers += b.Subscribers
-	a.SubRefreshes += b.SubRefreshes
 	a.PayloadHits += b.PayloadHits
 	return a
 }
@@ -329,22 +325,19 @@ func (s *Stats) pagerSnapshot() (PagerStats, int) {
 // CoalesceStats is one query coalescer's gauge set, pulled from a
 // registered source at Snapshot time (mirrors
 // retrieval.CoalescerStats; this package must not import retrieval).
-// Routed == Led + Shared + BypassCollision + BypassStale once traffic
-// quiesces.
+// Routed == Led + Shared + BypassStale once traffic quiesces.
 type CoalesceStats struct {
-	Routed          int64
-	Led             int64 // index searches actually executed by flight leaders
-	Shared          int64 // sub-queries answered by adopting another session's pass
-	BypassCollision int64 // bucket held a different exact query
-	BypassStale     int64 // flight unstable or its epoch had moved
-	Flights         int64 // current in-flight/lingering entries (gauge)
+	Routed      int64
+	Led         int64 // index searches actually executed by flight leaders
+	Shared      int64 // sub-queries answered by adopting another session's pass
+	BypassStale int64 // flight unstable or its epoch had moved
+	Flights     int64 // searches currently in flight (gauge)
 }
 
 func (a CoalesceStats) add(b CoalesceStats) CoalesceStats {
 	a.Routed += b.Routed
 	a.Led += b.Led
 	a.Shared += b.Shared
-	a.BypassCollision += b.BypassCollision
 	a.BypassStale += b.BypassStale
 	a.Flights += b.Flights
 	return a
@@ -766,9 +759,8 @@ func (s Snapshot) String() string {
 		hot = fmt.Sprintf(" · hot cache %d/%d hit/miss · %d entries / %s · %d evicted · %d invalidated",
 			s.Hot.Hits, s.Hot.Misses, s.Hot.Entries, fmtBytes(s.Hot.Bytes),
 			s.Hot.Evictions, s.Hot.Invalidations)
-		if s.Hot.Subscribers > 0 || s.Hot.SubRefreshes > 0 || s.Hot.PayloadHits > 0 {
-			hot += fmt.Sprintf(" · %d subscribers · %d multicast refreshes · %d payload replays",
-				s.Hot.Subscribers, s.Hot.SubRefreshes, s.Hot.PayloadHits)
+		if s.Hot.PayloadHits > 0 {
+			hot += fmt.Sprintf(" · %d payload replays", s.Hot.PayloadHits)
 		}
 		if s.HotBypassBudget > 0 {
 			hot += fmt.Sprintf(" · %d budget bypasses", s.HotBypassBudget)
@@ -776,9 +768,8 @@ func (s Snapshot) String() string {
 	}
 	coalesce := ""
 	if s.Coalescers > 0 {
-		coalesce = fmt.Sprintf(" · coalesce %d routed · %d led · %d shared · %d/%d collision/stale bypass",
-			s.Coalesce.Routed, s.Coalesce.Led, s.Coalesce.Shared,
-			s.Coalesce.BypassCollision, s.Coalesce.BypassStale)
+		coalesce = fmt.Sprintf(" · coalesce %d routed · %d led · %d shared · %d stale bypass",
+			s.Coalesce.Routed, s.Coalesce.Led, s.Coalesce.Shared, s.Coalesce.BypassStale)
 	}
 	pager := ""
 	if s.Pagers > 0 {

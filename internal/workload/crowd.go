@@ -2,8 +2,8 @@
 // coalescing. Real crowds cluster — most viewers orbit a few landmarks
 // while the rest roam — so the generator splits clients into flocks
 // that follow shared attractor paths (every member of a flock issues
-// the *identical* window query at every step, the case coalescing and
-// multicast exploit) and independent roamers (the no-overlap baseline).
+// the *identical* window query at every step, the case the hot cache
+// and the coalescer exploit) and independent roamers (the no-overlap baseline).
 // Like the city generator, everything is (seed, i)-pure: client i's
 // tour depends only on (spec, i), never on how many other clients were
 // generated or in what order.
